@@ -54,7 +54,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--train-frac", type=float, default=0.7)
     parser.add_argument("--min-df", type=int, default=2)
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
 
     corpus = generate(GenConfig.desk(n_examples=args.n), seed=args.seed)
@@ -112,7 +111,6 @@ def main(argv: list[str] | None = None) -> int:
                 ),
                 lexicon=lexicon if config.strategy.needs_lexicon else None,
                 task_map=task_map if config.strategy.needs_lexicon else None,
-                jobs=args.jobs,
             )
             scored = run_pipeline(pipeline, test_transcripts)
             rows[text] = evaluate_matrix(
@@ -125,7 +123,6 @@ def main(argv: list[str] | None = None) -> int:
             train_transcripts,
             derivation.matrix,
             indices_override=oracle_indices(train_pairs, task, labels, merge_map),
-            jobs=args.jobs,
         )
         scored = run_pipeline(
             pipeline,

@@ -52,13 +52,11 @@ from .errors import (
     ValidationError,
 )
 from .features import (
-    SparseVector,
     Vocabulary,
     count_transform,
     fit_vocabulary,
     tfidf_transform,
     tokenize,
-    vectors_to_csr,
 )
 from .filtering import (
     FilterModel,

@@ -570,6 +570,7 @@ def load_label_matrix(path: str | Path) -> tuple[LabelMatrix, dict[str, str] | N
     merge_map = header.get("merge_map")
     ids: list[str] = []
     sets: list[set[str]] = []
+    seen: set[str] = set()
     for line_number, row in lines[1:]:
         if not isinstance(row, dict) or "id" not in row or "labels" not in row:
             raise ParseError("label row needs 'id' and 'labels'", line_number)
@@ -578,7 +579,11 @@ def load_label_matrix(path: str | Path) -> tuple[LabelMatrix, dict[str, str] | N
             raise ValidationError(
                 f"line {line_number}: labels {sorted(unknown)} not in the space header"
             )
-        ids.append(str(row["id"]))
+        example_id = str(row["id"])
+        if example_id in seen:
+            raise ParseError(f"duplicate id {example_id!r}", line_number)
+        seen.add(example_id)
+        ids.append(example_id)
         sets.append(set(row["labels"]))
     matrix = LabelMatrix(
         space=space, example_ids=ids, values=_membership_matrix(sets, space.labels)

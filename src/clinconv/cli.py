@@ -415,7 +415,6 @@ def cmd_train(args) -> None:
         lexicon=lexicon,
         task_map=task_map,
         indices_override=override,
-        jobs=args.jobs,
     )
     save_pipeline(args.out, pipeline)
     _write_manifest(Path(args.out), "train", args.argv, inputs, [Path(args.out)])
@@ -553,7 +552,6 @@ def cmd_sweep(args) -> None:
                 train_transcripts,
                 train_matrix,
                 indices_override=train_ov,
-                jobs=args.jobs,
             )
             scores = run_pipeline(pipeline, test_transcripts, indices_override=test_ov)
             report = evaluate_matrix(
@@ -683,7 +681,6 @@ def build_parser() -> _Parser:
     p.add_argument("--lexicon")
     p.add_argument("--task-map")
     p.add_argument("--indices", help="selection override from the filter command")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_train)
 
@@ -722,7 +719,6 @@ def build_parser() -> _Parser:
     p.add_argument("--metric", choices=BASELINE_METRICS, default="micro_f1")
     p.add_argument("--reg-c", type=float, dest="reg_c", default=1.0)
     p.add_argument("--min-df", type=int, dest="min_df", default=2)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_sweep)
 

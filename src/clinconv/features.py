@@ -2,23 +2,24 @@
 
 A document is a list of token segments (one segment per utterance); bigrams
 are formed inside a segment and never across segment boundaries. A plain list
-of tokens is accepted as a single segment.
+of tokens is accepted as a single segment. The transforms take a sequence of
+documents and return one CSR matrix with a row per document.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from array import array
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import FitError, ValidationError
-from .jsonio import atomic_write_text, json_loads, sha256_text
+from .jsonio import sha256_text
 
 _TOKEN = re.compile(r"[0-9a-z]+")
 
@@ -77,34 +78,6 @@ class Vocabulary:
         return np.log((1.0 + self.n_docs) / (1.0 + self.df)) + 1.0
 
 
-@dataclass
-class SparseVector:
-    """(index, weight) pairs with strictly ascending indices."""
-
-    indices: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.indices = np.asarray(self.indices, dtype=np.int64)
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.indices.shape != self.values.shape:
-            raise ValidationError("sparse vector indices/values length mismatch")
-        if len(self.indices) > 1 and not np.all(np.diff(self.indices) > 0):
-            raise ValidationError("sparse vector indices must be strictly ascending")
-
-    @property
-    def nnz(self) -> int:
-        return len(self.indices)
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(self.values**2)))
-
-    def to_dense(self, size: int) -> np.ndarray:
-        dense = np.zeros(size)
-        dense[self.indices] = self.values
-        return dense
-
-
 def fit_vocabulary(docs: Iterable[Doc], min_df: int = 2) -> Vocabulary:
     """Collect unigrams and bigrams with document frequency >= min_df.
 
@@ -135,63 +108,53 @@ def fit_vocabulary(docs: Iterable[Doc], min_df: int = 2) -> Vocabulary:
     return Vocabulary(terms=terms, df=df, n_docs=n_docs, min_df=min_df)
 
 
-def _term_counts(vocab: Vocabulary, doc: Doc) -> tuple[np.ndarray, np.ndarray]:
-    counts: Counter[int] = Counter()
-    for term in doc_terms(doc):
-        j = vocab.index.get(term)
-        if j is not None:
-            counts[j] += 1
-    if not counts:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-    indices = np.array(sorted(counts), dtype=np.int64)
-    values = np.array([counts[j] for j in indices], dtype=np.float64)
-    return indices, values
+def count_transform(vocab: Vocabulary, docs: Sequence[Doc]) -> sp.csr_matrix:
+    """Raw in-vocabulary term counts, one row per document.
 
-
-def count_transform(vocab: Vocabulary, doc: Doc) -> SparseVector:
-    """Raw in-vocabulary term counts. Out-of-vocabulary terms are dropped."""
-    indices, values = _term_counts(vocab, doc)
-    return SparseVector(indices=indices, values=values)
-
-
-def tfidf_transform(vocab: Vocabulary, doc: Doc) -> SparseVector:
-    """TF-IDF with idf = ln((1+n_docs)/(1+df)) + 1, L2-normalized.
-
-    A document with no in-vocabulary terms maps to the zero vector.
+    Out-of-vocabulary terms are dropped; a document with no in-vocabulary
+    term is a zero row. Column indices ascend within each row.
     """
-    indices, values = _term_counts(vocab, doc)
-    if len(indices) == 0:
-        return SparseVector(indices=indices, values=values)
-    weights = values * vocab.idf()[indices]
-    norm = np.sqrt(np.sum(weights**2))
-    if norm > 0:
-        weights = weights / norm
-    return SparseVector(indices=indices, values=weights)
-
-
-def vectors_to_csr(vectors: Sequence[SparseVector], n_features: int) -> sp.csr_matrix:
-    data: list[np.ndarray] = []
-    indices: list[np.ndarray] = []
-    indptr = [0]
-    for vector in vectors:
-        if vector.nnz and vector.indices[-1] >= n_features:
+    if isinstance(docs, str):
+        raise ValidationError("documents must be a sequence, not a string")
+    index = vocab.index
+    indices = array("q")
+    values = array("d")
+    indptr = array("q", [0])
+    for doc in docs:
+        if isinstance(doc, str):
             raise ValidationError(
-                f"sparse vector index {int(vector.indices[-1])} outside "
-                f"feature space of size {n_features}"
+                f"document {len(indptr) - 1} is a string; pass token lists or segment lists"
             )
-        data.append(vector.values)
-        indices.append(vector.indices)
-        indptr.append(indptr[-1] + vector.nnz)
-    if not vectors:
-        return sp.csr_matrix((0, n_features))
+        counts: dict[int, int] = {}
+        for term in doc_terms(doc):
+            j = index.get(term)
+            if j is not None:
+                counts[j] = counts.get(j, 0) + 1
+        for j in sorted(counts):
+            indices.append(j)
+            values.append(counts[j])
+        indptr.append(len(indices))
     return sp.csr_matrix(
-        (
-            np.concatenate(data) if data else np.empty(0),
-            np.concatenate(indices) if indices else np.empty(0, dtype=np.int64),
-            np.array(indptr),
-        ),
-        shape=(len(vectors), n_features),
+        (np.asarray(values), np.asarray(indices), np.asarray(indptr)),
+        shape=(len(indptr) - 1, len(vocab)),
     )
+
+
+def tfidf_transform(vocab: Vocabulary, docs: Sequence[Doc]) -> sp.csr_matrix:
+    """TF-IDF with idf = ln((1+n_docs)/(1+df)) + 1, each row L2-normalized.
+
+    A document with no in-vocabulary terms maps to the zero row.
+    """
+    X = count_transform(vocab, docs)
+    X.data *= vocab.idf()[X.indices]
+    # Each row's norm sums its own slice, so it equals the norm of that row
+    # computed alone; a vectorised segment sum can differ in the last bit.
+    squares = X.data**2
+    bounds = X.indptr.tolist()
+    norms = np.sqrt([np.sum(squares[a:b]) for a, b in zip(bounds, bounds[1:])])
+    norms[~(norms > 0)] = 1.0
+    X.data /= np.repeat(norms, np.diff(X.indptr))
+    return X
 
 
 def vocabulary_hash(vocab: Vocabulary) -> str:
@@ -223,12 +186,3 @@ def vocabulary_from_record(record: dict) -> Vocabulary:
         n_docs=int(record["n_docs"]),
         min_df=int(record["min_df"]),
     )
-
-
-def save_vocabulary(path: str | Path, vocab: Vocabulary) -> None:
-    atomic_write_text(path, json.dumps(vocabulary_to_record(vocab)) + "\n")
-
-
-def load_vocabulary(path: str | Path) -> Vocabulary:
-    with open(path, "r", encoding="utf-8") as handle:
-        return vocabulary_from_record(json_loads(handle.read()))

@@ -37,12 +37,10 @@ from .concepts import ConceptLexicon, TaskMap, umls_noteworthy
 from .errors import ConfigError, ParseError, TrainingError
 from .jsonio import iter_jsonl, write_jsonl
 from .features import (
-    SparseVector,
     Vocabulary,
     fit_vocabulary,
     tfidf_transform,
     tokenize,
-    vectors_to_csr,
     vocabulary_from_record,
     vocabulary_to_record,
 )
@@ -181,8 +179,7 @@ def train_filter(
             noteworthy_targets(transcript, note, scope, labels, merge_map).tolist()
         )
     vocab = fit_vocabulary(docs, min_df=min_df)
-    vectors = [tfidf_transform(vocab, doc) for doc in docs]
-    X = vectors_to_csr(vectors, len(vocab))
+    X = tfidf_transform(vocab, docs)
     model = train_logistic(X, np.asarray(targets, dtype=float), reg_c=reg_c)
     if threshold is None:
         threshold = DEFAULT_THRESHOLDS[scope]
@@ -199,10 +196,7 @@ def train_filter(
 
 def utterance_probabilities(fm: FilterModel, transcript: Transcript) -> np.ndarray:
     docs = utterance_tokens(transcript, fm.include_speaker)
-    vectors = [tfidf_transform(fm.vocab, doc) for doc in docs]
-    if not vectors:
-        return np.zeros(0)
-    return predict_proba_matrix(fm.model, vectors_to_csr(vectors, len(fm.vocab)))
+    return predict_proba_matrix(fm.model, tfidf_transform(fm.vocab, docs))
 
 
 def filter_to_record(fm: FilterModel) -> dict:

@@ -13,7 +13,6 @@ trained on raw term counts rather than TF-IDF weights.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -23,7 +22,6 @@ from scipy.optimize import minimize
 from scipy.special import expit, logsumexp
 
 from .errors import TrainingError
-from .features import SparseVector, vectors_to_csr
 
 BIAS_CLIP = 15.0
 
@@ -43,7 +41,7 @@ class LogisticModel:
 @dataclass
 class NaiveBayesModel:
     log_prior: np.ndarray  # [log p(neg), log p(pos)]
-    log_likelihood: np.ndarray  # shape (2, n_features)
+    log_likelihood: np.ndarray  # shape (2, feature width)
     constant_p: float | None = None  # set for single-class targets
 
     def __post_init__(self) -> None:
@@ -51,11 +49,7 @@ class NaiveBayesModel:
         self.log_likelihood = np.asarray(self.log_likelihood, dtype=np.float64)
 
 
-def _as_matrix(X, n_features: int | None):
-    if isinstance(X, (list, tuple)) and (not X or isinstance(X[0], SparseVector)):
-        if n_features is None:
-            raise TrainingError("a SparseVector list needs an explicit n_features")
-        return vectors_to_csr(X, n_features)
+def _as_matrix(X):
     if sp.issparse(X):
         return X.tocsr()
     return np.asarray(X, dtype=np.float64)
@@ -115,17 +109,15 @@ def train_logistic(
     reg_c: float = 1.0,
     tol: float = 1e-6,
     max_iter: int = 1000,
-    n_features: int | None = None,
 ) -> LogisticModel:
     """Fit L2-regularized logistic regression by full-batch quasi-Newton.
 
-    Accepts a SparseVector list (with n_features), a scipy sparse matrix, or
-    a dense array. A constant target column short-circuits to the prior-only
-    model.
+    Accepts a scipy sparse matrix or a dense array. A constant target column
+    short-circuits to the prior-only model.
     """
     if reg_c <= 0:
         raise TrainingError("reg_c must be positive")
-    X = _as_matrix(X, n_features)
+    X = _as_matrix(X)
     _check_finite(X)
     y = _check_targets(y, X.shape[0])
 
@@ -159,25 +151,8 @@ def train_logistic(
     )
 
 
-def predict_proba(model: LogisticModel, x) -> float:
-    """P(y=1 | x) for one example (SparseVector or dense vector)."""
-    if isinstance(x, SparseVector):
-        if x.nnz and model.weights.size and x.indices[-1] >= model.weights.size:
-            raise TrainingError("feature index outside the trained weight vector")
-        z = float(x.values @ model.weights[x.indices]) if x.nnz else 0.0
-    else:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != model.weights.shape:
-            raise TrainingError(
-                f"feature dimension {x.shape} does not match weights "
-                f"{model.weights.shape}"
-            )
-        z = float(x @ model.weights)
-    return float(expit(z + model.bias))
-
-
 def predict_proba_matrix(model: LogisticModel, X) -> np.ndarray:
-    X = _as_matrix(X, model.weights.size)
+    X = _as_matrix(X)
     if X.shape[1] != model.weights.size:
         raise TrainingError(
             f"feature dimension {X.shape[1]} does not match weights "
@@ -191,8 +166,8 @@ def predict_proba_matrix(model: LogisticModel, X) -> np.ndarray:
 # Multinomial naive Bayes (binary, add-one smoothing, raw counts)
 
 
-def train_naive_bayes(X, y, n_features: int | None = None) -> NaiveBayesModel:
-    X = _as_matrix(X, n_features)
+def train_naive_bayes(X, y) -> NaiveBayesModel:
+    X = _as_matrix(X)
     _check_finite(X)
     y = _check_targets(y, X.shape[0])
     if np.any((X.data if sp.issparse(X) else X) < 0):
@@ -219,7 +194,7 @@ def train_naive_bayes(X, y, n_features: int | None = None) -> NaiveBayesModel:
 
 
 def naive_bayes_proba_matrix(model: NaiveBayesModel, X) -> np.ndarray:
-    X = _as_matrix(X, model.log_likelihood.shape[1])
+    X = _as_matrix(X)
     if model.constant_p is not None:
         return np.full(X.shape[0], model.constant_p)
     joint = np.column_stack(
@@ -252,25 +227,15 @@ class OneVsRestModel:
             raise TrainingError(f"unknown backend {self.backend!r}")
 
 
-def parallel_map(fn, items: Sequence, jobs: int = 1) -> list:
-    """Order-preserving map, threaded when jobs > 1."""
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def train_ovr(
     X,
     Y: np.ndarray,
     labels: Sequence[str],
     backend: str = "logistic",
     reg_c: float = 1.0,
-    jobs: int = 1,
-    n_features: int | None = None,
 ) -> OneVsRestModel:
     """One binary model per label column, trained independently."""
-    X = _as_matrix(X, n_features)
+    X = _as_matrix(X)
     Y = np.asarray(Y)
     if Y.ndim != 2 or Y.shape != (X.shape[0], len(labels)):
         raise TrainingError(
@@ -283,7 +248,7 @@ def train_ovr(
         fit = lambda j: train_naive_bayes(X, Y[:, j])
     else:
         raise TrainingError(f"unknown backend {backend!r}")
-    models = parallel_map(fit, range(len(labels)), jobs)
+    models = [fit(j) for j in range(len(labels))]
     return OneVsRestModel(labels=tuple(labels), backend=backend, models=models, reg_c=reg_c)
 
 
@@ -294,6 +259,5 @@ def ovr_proba_matrix(model: OneVsRestModel, X) -> np.ndarray:
     else:
         columns = [naive_bayes_proba_matrix(m, X) for m in model.models]
     if not columns:
-        n_rows = X.shape[0] if hasattr(X, "shape") else len(X)
-        return np.zeros((n_rows, 0))
+        return np.zeros((_as_matrix(X).shape[0], 0))
     return np.column_stack(columns)

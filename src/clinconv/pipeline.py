@@ -36,7 +36,6 @@ from .features import (
     fit_vocabulary,
     tfidf_transform,
     tokenize,
-    vectors_to_csr,
     vocabulary_from_record,
     vocabulary_hash,
     vocabulary_to_record,
@@ -102,6 +101,7 @@ def save_scores(path: str | Path, matrix: ScoreMatrix) -> None:
 def load_scores(path: str | Path) -> ScoreMatrix:
     ids: list[str] = []
     rows: list[list[float]] = []
+    seen: set[str] = set()
     labels: tuple[str, ...] | None = None
     for line_number, record in iter_jsonl(path):
         if not isinstance(record, dict) or "id" not in record or "scores" not in record:
@@ -112,7 +112,11 @@ def load_scores(path: str | Path) -> ScoreMatrix:
             raise ValidationError(
                 f"line {line_number}: score row labels differ from the first row"
             )
-        ids.append(str(record["id"]))
+        example_id = str(record["id"])
+        if example_id in seen:
+            raise ParseError(f"duplicate id {example_id!r}", line_number)
+        seen.add(example_id)
+        ids.append(example_id)
         rows.append([float(record["scores"][label]) for label in labels])
     if labels is None:
         raise ParseError(f"score file {path} is empty")
@@ -121,11 +125,6 @@ def load_scores(path: str | Path) -> ScoreMatrix:
 
 # ---------------------------------------------------------------------------
 # Text assembly
-
-
-def transcript_segments(transcript: Transcript) -> list[list[str]]:
-    """One token segment per utterance; bigrams never cross segments."""
-    return [tokenize(u.text) for u in transcript.utterances]
 
 
 def assemble_filtered_segments(
@@ -138,15 +137,6 @@ def assemble_filtered_segments(
             f"filtered index outside transcript of {n} utterances"
         )
     return [tokenize(transcript.utterances[i].text) for i in unique]
-
-
-def assemble_filtered_text(transcript: Transcript, indices: Iterable[int]) -> list[str]:
-    """Selected utterances' tokens concatenated in transcript order."""
-    return [
-        token
-        for segment in assemble_filtered_segments(transcript, indices)
-        for token in segment
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +294,7 @@ def _featurize(
         ]
         return np.vstack(rows) if rows else np.zeros((0, encoder.dim))
     transform = tfidf_transform if config.backend == "logistic" else count_transform
-    vectors = [transform(vocab, doc) for doc in docs]
-    return vectors_to_csr(vectors, len(vocab))
+    return transform(vocab, docs)
 
 
 def train_pipeline(
@@ -317,7 +306,6 @@ def train_pipeline(
     task_map: TaskMap | None = None,
     indices_override: Mapping[str, Sequence[int]] | None = None,
     encoder: HashedTokenEncoder | None = None,
-    jobs: int = 1,
 ) -> TrainedPipeline:
     """Filter, featurize, and fit the one-vs-rest model.
 
@@ -338,9 +326,7 @@ def train_pipeline(
         vocab = fit_vocabulary(docs, min_df=config.min_df)
     X = _featurize(config, docs, vocab, encoder)
     backend = "naive_bayes" if config.backend == "naive_bayes" else "logistic"
-    ovr = train_ovr(
-        X, matrix.values, matrix.space.labels, backend=backend, reg_c=config.reg_c, jobs=jobs
-    )
+    ovr = train_ovr(X, matrix.values, matrix.space.labels, backend=backend, reg_c=config.reg_c)
     return TrainedPipeline(
         config=config,
         space=matrix.space,
@@ -462,6 +448,35 @@ def save_pipeline(path: str | Path, pipeline: TrainedPipeline) -> None:
     atomic_write_text(path, json.dumps(record) + "\n")
 
 
+def _check_heads(
+    path: str | Path, config: PipelineConfig, ovr: OneVsRestModel, vocab: Vocabulary | None
+) -> None:
+    """Every head must fit the feature width the pipeline will produce."""
+    if config.backend == "encoder":
+        width, against = config.encoder_dim, f"encoder_dim {config.encoder_dim}"
+    elif vocab is None:
+        raise ConfigError(f"{path}: {config.backend} pipeline has no vocabulary")
+    else:
+        width, against = len(vocab), f"vocabulary of {len(vocab)} terms"
+    model_type = LogisticModel if ovr.backend == "logistic" else NaiveBayesModel
+    for label, model in zip(ovr.labels, ovr.models):
+        if not isinstance(model, model_type):
+            raise ConfigError(f"{path}: head {label!r} is not a {ovr.backend} model")
+        if isinstance(model, LogisticModel):
+            shapes = [("weights", model.weights.shape, (width,))]
+        else:
+            shapes = [
+                ("log_likelihood", model.log_likelihood.shape, (2, width)),
+                ("log_prior", model.log_prior.shape, (2,)),
+            ]
+        for name, found, expected in shapes:
+            if found != expected:
+                raise ConfigError(
+                    f"{path}: head {label!r} {name} has shape {found}, "
+                    f"expected {expected} for the {against}"
+                )
+
+
 def load_pipeline(path: str | Path) -> TrainedPipeline:
     with open(path, "r", encoding="utf-8") as handle:
         record = json_loads(handle.read())
@@ -488,11 +503,7 @@ def load_pipeline(path: str | Path) -> TrainedPipeline:
                 f"{path}: vocabulary hash mismatch; the model file was built "
                 "against a different vocabulary"
             )
-        if ovr.backend in ("logistic",) and any(
-            isinstance(m, LogisticModel) and m.weights.size not in (0, len(vocab))
-            for m in ovr.models
-        ):
-            raise ConfigError(f"{path}: model weights do not match the vocabulary size")
+    _check_heads(path, config, ovr, vocab)
     filter_model = filter_from_record(record["filter"]) if "filter" in record else None
     lexicon = (
         build_lexicon(

@@ -1,15 +1,20 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here is written as plainly as possible: explicit Python loops for
-the metrics, first-order gradient descent for the optimizer, and central
-finite differences for gradients. Slow on purpose; correctness over speed.
+the metrics, first-order gradient descent for the optimizer, central finite
+differences for gradients, and one document at a time for featurization.
+Slow on purpose; correctness over speed.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
+import scipy.sparse as sp
+
+from clinconv.features import doc_terms
 
 
 # ---------------------------------------------------------------------------
@@ -238,3 +243,65 @@ def all_positive_micro_f1(prevalence) -> float:
     p = list(prevalence)
     total = math.fsum(p)
     return 2.0 * total / (len(p) + total) if p else 0.0
+
+
+# ---------------------------------------------------------------------------
+# Featurization, one document at a time
+
+
+def document_counts(vocab, doc) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending in-vocabulary term indices of one document and their counts."""
+    counts: Counter[int] = Counter()
+    for term in doc_terms(doc):
+        j = vocab.index.get(term)
+        if j is not None:
+            counts[j] += 1
+    indices = np.array(sorted(counts), dtype=np.int64)
+    values = np.array([counts[j] for j in indices], dtype=np.float64)
+    return indices, values
+
+
+def document_tfidf(vocab, doc) -> tuple[np.ndarray, np.ndarray]:
+    """Counts times idf, divided by the row's L2 norm when it is positive."""
+    indices, values = document_counts(vocab, doc)
+    if len(indices) == 0:
+        return indices, values
+    weights = values * vocab.idf()[indices]
+    norm = np.sqrt(np.sum(weights**2))
+    if norm > 0:
+        weights = weights / norm
+    return indices, weights
+
+
+def rows_to_csr(rows, n_features: int) -> sp.csr_matrix:
+    """Stack (indices, values) rows into a CSR matrix of width n_features."""
+    indptr = [0]
+    for indices, _ in rows:
+        indptr.append(indptr[-1] + len(indices))
+    data = np.concatenate([values for _, values in rows]) if rows else np.empty(0)
+    columns = (
+        np.concatenate([indices for indices, _ in rows])
+        if rows
+        else np.empty(0, dtype=np.int64)
+    )
+    return sp.csr_matrix(
+        (data, columns, np.array(indptr)), shape=(len(rows), n_features)
+    )
+
+
+def oracle_counts(vocab, docs) -> sp.csr_matrix:
+    return rows_to_csr([document_counts(vocab, doc) for doc in docs], len(vocab))
+
+
+def oracle_tfidf(vocab, docs) -> sp.csr_matrix:
+    return rows_to_csr([document_tfidf(vocab, doc) for doc in docs], len(vocab))
+
+
+def same_csr(a, b) -> bool:
+    """Shape, data, indices and indptr all exactly equal."""
+    return (
+        a.shape == b.shape
+        and np.array_equal(a.data, b.data)
+        and np.array_equal(a.indices, b.indices)
+        and np.array_equal(a.indptr, b.indptr)
+    )

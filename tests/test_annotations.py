@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -333,3 +335,13 @@ def test_label_matrix_round_trip(tmp_path, medium_derivations):
         assert matrix.example_ids == derivation.matrix.example_ids
         assert np.array_equal(matrix.values, derivation.matrix.values)
         assert loaded_merge == merge
+
+
+def test_label_matrix_rejects_duplicate_ids(tmp_path):
+    path = tmp_path / "labels.jsonl"
+    rows = [{"task": "ros", "labels": ["x"]}] + [
+        {"id": i, "labels": ["x"]} for i in ("a", "a", "b")
+    ]
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    with pytest.raises(ParseError, match="line 3: duplicate id 'a'"):
+        load_label_matrix(path)

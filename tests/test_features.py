@@ -9,16 +9,15 @@ from hypothesis import strategies as st
 
 from clinconv import (
     FitError,
-    SparseVector,
     ValidationError,
     Vocabulary,
     count_transform,
     fit_vocabulary,
     tfidf_transform,
     tokenize,
-    vectors_to_csr,
 )
-from clinconv.features import doc_terms, load_vocabulary, save_vocabulary, vocabulary_hash
+from clinconv.features import doc_terms
+from oracles import oracle_counts, oracle_tfidf, same_csr
 
 DOCS = [
     [["chest", "pain", "today"], ["no", "chest", "pain"]],
@@ -59,60 +58,52 @@ def test_fit_vocabulary_rejects_unreachable_min_df():
         fit_vocabulary(DOCS, min_df=4)
 
 
+def row_norms(X) -> np.ndarray:
+    return np.sqrt(np.asarray(X.multiply(X).sum(axis=1)).ravel())
+
+
 def test_count_transform_drops_out_of_vocabulary_terms():
     vocab = fit_vocabulary(DOCS, min_df=2)
-    vector = count_transform(vocab, [["chest", "pain", "unseen"]])
-    dense = vector.to_dense(len(vocab))
+    X = count_transform(vocab, [[["chest", "pain", "unseen"]]])
+    assert X.shape == (1, len(vocab))
+    dense = X.toarray()[0]
     assert dense[vocab.index["chest"]] == 1
     assert dense.sum() == 3  # chest, pain, "chest pain"
 
 
 def test_tfidf_of_empty_document_is_zero_vector():
     vocab = fit_vocabulary(DOCS, min_df=2)
-    vector = tfidf_transform(vocab, [])
-    assert vector.nnz == 0 and vector.norm() == 0.0
+    X = tfidf_transform(vocab, [[], DOCS[0], []])
+    assert X.shape == (3, len(vocab))
+    assert X[[0, 2]].nnz == 0
+    assert row_norms(X)[[0, 2]].tolist() == [0.0, 0.0]
 
 
 def test_tfidf_norm_is_unit_for_nonempty_documents():
     vocab = fit_vocabulary(DOCS, min_df=1)
-    for doc in DOCS:
-        assert tfidf_transform(vocab, doc).norm() == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(row_norms(tfidf_transform(vocab, DOCS)), 1.0, atol=1e-12)
 
 
 def test_rarer_terms_weigh_more():
     vocab = fit_vocabulary(DOCS, min_df=1)
-    vector = tfidf_transform(vocab, [["chest", "routine"]])
-    dense = vector.to_dense(len(vocab))
+    dense = tfidf_transform(vocab, [[["chest", "routine"]]]).toarray()[0]
     assert dense[vocab.index["routine"]] > dense[vocab.index["chest"]]
 
 
-def test_sparse_vector_requires_ascending_indices():
-    with pytest.raises(ValidationError):
-        SparseVector(indices=np.array([3, 1]), values=np.array([1.0, 2.0]))
-
-
-def test_vectors_to_csr_round_trips_dense():
+def test_transforms_reject_a_string_document():
     vocab = fit_vocabulary(DOCS, min_df=1)
-    vectors = [tfidf_transform(vocab, doc) for doc in DOCS]
-    X = vectors_to_csr(vectors, len(vocab))
-    dense = np.vstack([v.to_dense(len(vocab)) for v in vectors])
-    np.testing.assert_allclose(X.toarray(), dense, atol=0)
+    for transform in (count_transform, tfidf_transform):
+        with pytest.raises(ValidationError):
+            transform(vocab, ["chest", "pain"])  # one document, not two
+        with pytest.raises(ValidationError):
+            transform(vocab, "chest pain")
 
 
-def test_vectors_to_csr_rejects_out_of_range_index():
-    bad = SparseVector(indices=np.array([5]), values=np.array([1.0]))
-    with pytest.raises(ValidationError):
-        vectors_to_csr([bad], 3)
-
-
-def test_vocabulary_save_load_round_trip(tmp_path):
+def test_transforms_of_no_documents_are_empty_matrices():
     vocab = fit_vocabulary(DOCS, min_df=1)
-    path = tmp_path / "vocab.json"
-    save_vocabulary(path, vocab)
-    loaded = load_vocabulary(path)
-    assert loaded.terms == vocab.terms
-    assert loaded.n_docs == vocab.n_docs
-    assert vocabulary_hash(loaded) == vocabulary_hash(vocab)
+    for transform in (count_transform, tfidf_transform):
+        X = transform(vocab, [])
+        assert X.shape == (0, len(vocab)) and X.nnz == 0
 
 
 def test_duplicate_terms_rejected():
@@ -134,8 +125,7 @@ def test_tfidf_norm_is_always_zero_or_one(docs):
         vocab = fit_vocabulary(docs, min_df=1)
     except FitError:
         return  # every document empty
-    for doc in docs:
-        norm = tfidf_transform(vocab, doc).norm()
+    for norm in row_norms(tfidf_transform(vocab, docs)):
         assert norm == pytest.approx(0.0, abs=1e-12) or norm == pytest.approx(
             1.0, abs=1e-12
         )
@@ -150,3 +140,24 @@ def test_vocabulary_terms_meet_min_df(docs, min_df):
         return
     assert np.all(vocab.df >= min_df)
     assert len(set(vocab.terms)) == len(vocab.terms)
+
+
+@st.composite
+def query_docs(draw):
+    """Plain token lists and segment lists, with terms the vocabulary lacks."""
+    token = st.text(alphabet="abcdefxyz", min_size=1, max_size=3)
+    segment = st.lists(token, min_size=0, max_size=5)
+    docs = draw(st.lists(st.one_of(segment, st.lists(segment, max_size=4)), max_size=8))
+    return docs + [[], ["xyz"], [["xyz", "zz"], []]]
+
+
+@given(token_docs(), query_docs(), st.integers(min_value=1, max_value=2))
+@settings(max_examples=150, deadline=None)
+def test_transforms_equal_the_per_document_oracle(docs, queries, min_df):
+    try:
+        vocab = fit_vocabulary(docs, min_df=min_df)
+    except FitError:
+        return
+    for corpus in (docs, queries):
+        assert same_csr(count_transform(vocab, corpus), oracle_counts(vocab, corpus))
+        assert same_csr(tfidf_transform(vocab, corpus), oracle_tfidf(vocab, corpus))

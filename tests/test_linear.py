@@ -17,8 +17,6 @@ from clinconv.linear import (
     logistic_objective,
     naive_bayes_proba_matrix,
     ovr_proba_matrix,
-    parallel_map,
-    predict_proba,
     predict_proba_matrix,
     prior_only_model,
 )
@@ -101,8 +99,11 @@ def test_predict_proba_matches_matrix_variant(rng):
     X, y = random_problem(rng)
     model = train_logistic(X, y)
     matrix = predict_proba_matrix(model, X)
-    rows = [predict_proba(model, X[i]) for i in range(X.shape[0])]
+    rows = [predict_proba_matrix(model, X[i : i + 1])[0] for i in range(X.shape[0])]
     np.testing.assert_allclose(matrix, rows, atol=1e-12)
+    np.testing.assert_allclose(
+        matrix, stable_sigmoid(X @ model.weights + model.bias), atol=1e-12
+    )
     assert matrix.min() >= 0.0 and matrix.max() <= 1.0
 
 
@@ -144,7 +145,7 @@ def test_naive_bayes_single_class_is_constant():
 def test_ovr_trains_one_model_per_label(rng):
     X, _ = random_problem(rng, max_n=40, max_dim=6)
     Y = rng.integers(0, 2, size=(X.shape[0], 3)).astype(float)
-    ovr = train_ovr(X, Y, labels=["a", "b", "c"], jobs=2)
+    ovr = train_ovr(X, Y, labels=["a", "b", "c"])
     assert len(ovr.models) == 3
     proba = ovr_proba_matrix(ovr, X)
     assert proba.shape == (X.shape[0], 3)
@@ -161,19 +162,9 @@ def test_ovr_shape_mismatch_rejected(rng):
         train_ovr(X, np.zeros((X.shape[0], 2)), labels=["only"])
 
 
-def test_parallel_map_preserves_order():
-    items = list(range(11))
-    assert parallel_map(lambda v: v * v, items, jobs=4) == [v * v for v in items]
-
-
-def test_logistic_model_thread_safety_of_training(rng):
-    X, y = random_problem(rng)
-    models = parallel_map(lambda _: train_logistic(X, y, tol=1e-9), range(4), jobs=4)
-    for model in models[1:]:
-        np.testing.assert_allclose(model.weights, models[0].weights, atol=1e-8)
-
-
 def test_predict_dimension_mismatch_rejected():
     model = LogisticModel(weights=np.ones(3), bias=0.0)
     with pytest.raises(TrainingError):
-        predict_proba(model, np.ones(2))
+        predict_proba_matrix(model, np.ones((1, 2)))
+    with pytest.raises(TrainingError):
+        predict_proba_matrix(model, sp.csr_matrix((4, 2)))

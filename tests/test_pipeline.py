@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from clinconv import (
     ConfigError,
+    ParseError,
     PipelineConfig,
     derive_diagnosis_labels,
     expected_input_agnostic_row,
@@ -22,16 +24,21 @@ from clinconv import (
     save_pipeline,
     save_scores,
     split_pairs,
+    tokenize,
+    train_filter,
     train_pipeline,
+    utterance_probabilities,
 )
+from clinconv.linear import ovr_proba_matrix, predict_proba_matrix
 from clinconv.pipeline import (
     BASELINE_METRICS,
     HashedTokenEncoder,
-    assemble_filtered_text,
+    assemble_filtered_segments,
     chunk_and_pool,
     input_agnostic_predict,
     micro_f1_optimal_prefix,
 )
+from oracles import oracle_counts, oracle_tfidf
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +107,86 @@ def test_scores_file_round_trip(tmp_path, trained_pipeline):
     np.testing.assert_allclose(loaded.scores, scores.scores, atol=1e-12)
 
 
+def test_scores_file_rejects_duplicate_ids(tmp_path):
+    path = tmp_path / "scores.jsonl"
+    rows = [{"id": i, "scores": {"x": 0.5}} for i in ("a", "a", "b")]
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    with pytest.raises(ParseError, match="line 2: duplicate id 'a'"):
+        load_scores(path)
+
+
+def tamper(tmp_path, pipeline, edit):
+    """Save the pipeline, apply ``edit`` to its record, return the path."""
+    path = tmp_path / "pipeline.json"
+    save_pipeline(path, pipeline)
+    record = json.loads(path.read_text())
+    edit(record)
+    path.write_text(json.dumps(record))
+    return path
+
+
+def test_naive_bayes_artifact_shapes_checked_at_load(tmp_path, small_corpus):
+    derivation = derive_diagnosis_labels(small_corpus.pairs())
+    config = PipelineConfig(task="diagnosis", backend="naive_bayes", min_df=2)
+    pipeline = train_pipeline(config, small_corpus.transcripts, derivation.matrix)
+
+    def drop_column(record):
+        head = record["ovr"]["models"][0]
+        head["log_likelihood"] = [row[:-1] for row in head["log_likelihood"]]
+
+    def short_prior(record):
+        head = record["ovr"]["models"][0]
+        head["log_prior"] = head["log_prior"][:1]
+
+    def logistic_head(record):
+        width = len(record["vocab"]["terms"])
+        record["ovr"]["models"][0] = {"type": "logistic", "weights": [0.0] * width, "bias": 0.0}
+
+    def no_vocabulary(record):
+        del record["vocab"], record["vocab_hash"]
+
+    for edit in (drop_column, short_prior, logistic_head, no_vocabulary):
+        path = tamper(tmp_path, pipeline, edit)
+        with pytest.raises(ConfigError, match="pipeline.json"):
+            load_pipeline(path)
+
+
+def test_encoder_artifact_width_checked_at_load(tmp_path, small_corpus):
+    derivation = derive_diagnosis_labels(small_corpus.pairs())
+    config = PipelineConfig(task="diagnosis", backend="encoder", encoder_dim=16)
+    pipeline = train_pipeline(config, small_corpus.transcripts, derivation.matrix)
+
+    def narrow(record):
+        head = record["ovr"]["models"][0]
+        head["weights"] = head["weights"][:-1]
+
+    path = tamper(tmp_path, pipeline, narrow)
+    with pytest.raises(ConfigError, match="pipeline.json.*encoder_dim 16"):
+        load_pipeline(path)
+
+
+def test_scores_equal_linear_functions_of_oracle_features(small_corpus):
+    """Filter probabilities and pipeline scores are bit-identical to the same
+    linear functions applied to matrices built one document at a time."""
+    pairs = small_corpus.pairs()
+    transcripts = small_corpus.transcripts
+    derivation = derive_diagnosis_labels(pairs)
+    fm = train_filter(
+        pairs, "diagnosis", labels=derivation.space.labels, merge_map=derivation.merge_map
+    )
+    for transcript in transcripts:
+        docs = [tokenize(u.text) for u in transcript.utterances]
+        expected = predict_proba_matrix(fm.model, oracle_tfidf(fm.vocab, docs))
+        assert np.array_equal(utterance_probabilities(fm, transcript), expected)
+
+    docs = [[tokenize(u.text) for u in t.utterances] for t in transcripts]
+    for backend, oracle in (("logistic", oracle_tfidf), ("naive_bayes", oracle_counts)):
+        config = PipelineConfig(task="diagnosis", backend=backend, min_df=2)
+        pipeline = train_pipeline(config, transcripts, derivation.matrix)
+        expected = ovr_proba_matrix(pipeline.ovr, oracle(pipeline.vocab, docs))
+        assert np.array_equal(run_pipeline(pipeline, transcripts).scores, expected)
+
+
 def test_indices_override_must_cover_every_transcript(trained_pipeline):
     corpus, derivation, _ = trained_pipeline
     override = {corpus.transcripts[0].id: [0]}
@@ -135,13 +222,13 @@ def test_encoder_backend_is_deterministic(small_corpus):
 
 def test_assemble_filtered_text_orders_and_bounds(small_corpus):
     transcript = small_corpus.transcripts[0]
-    tokens = assemble_filtered_text(transcript, [2, 0])
-    by_order = assemble_filtered_text(transcript, [0, 2])
-    assert tokens == by_order
+    segments = assemble_filtered_segments(transcript, [2, 0])
+    assert segments == assemble_filtered_segments(transcript, [0, 2, 2])
+    assert segments == [tokenize(transcript.utterances[i].text) for i in (0, 2)]
     from clinconv import ValidationError
 
     with pytest.raises(ValidationError):
-        assemble_filtered_text(transcript, [len(transcript)])
+        assemble_filtered_segments(transcript, [len(transcript)])
 
 
 # ---------------------------------------------------------------------------
