@@ -32,8 +32,7 @@ from clinconv import (
     train_filter,
     train_pipeline,
 )
-from clinconv.metrics import markdown_table
-from clinconv.pipeline import BASELINE_METRICS
+from clinconv.metrics import METRIC_NAMES, markdown_table
 
 
 def oracle_indices(pairs, scope, labels, merge_map):
@@ -138,7 +137,7 @@ def main(argv: list[str] | None = None) -> int:
             f"\ntask: {task} | train {len(train_pairs)} / test {len(test_pairs)}"
             f" | labels {len(labels)} | {elapsed:.1f}s"
         )
-        print(markdown_table(rows, list(BASELINE_METRICS)))
+        print(markdown_table(rows, list(METRIC_NAMES)))
     return 0
 
 

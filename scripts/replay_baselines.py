@@ -19,8 +19,7 @@ from clinconv import (
     prevalence_truth_matrix,
     reference_labels,
 )
-from clinconv.metrics import markdown_table
-from clinconv.pipeline import BASELINE_METRICS
+from clinconv.metrics import METRIC_NAMES, markdown_table
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -50,7 +49,7 @@ def main(argv: list[str] | None = None) -> int:
         }
         top = reference.labels[int(np.argmax(reference.rank_scores()))]
         print(f"\ntask: {task} | labels: {len(space.labels)} | top by train count: {top}")
-        print(markdown_table(rows, list(BASELINE_METRICS)))
+        print(markdown_table(rows, list(METRIC_NAMES)))
     return 0
 
 

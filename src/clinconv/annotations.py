@@ -119,9 +119,6 @@ class LabelSpace:
         ):
             raise ValidationError("train_prevalence entries must lie in [0, 1]")
 
-    def index_of(self, label: str) -> int:
-        return self.labels.index(label)
-
 
 @dataclass
 class LabelMatrix:

@@ -40,7 +40,7 @@ from .concepts import (
     load_concepts_file,
     load_task_map,
     save_concepts_file,
-    tag_utterance,
+    transcript_hits,
     umls_noteworthy,
     validate_task_map_against_lexicon,
 )
@@ -48,18 +48,17 @@ from .errors import ConfigError, DataError, FitError, ParseError, TrainingError,
 from .filtering import (
     SCOPES,
     apply_filter,
-    filter_from_record,
     filter_to_record,
+    load_filter,
     load_indices,
     parse_strategy,
     save_indices,
+    threshold_sweep,
     train_filter,
-    utterance_probabilities,
 )
 from .jsonio import FieldWarnings, atomic_write_text, json_loads, sha256_file, write_jsonl
-from .metrics import evaluate_matrix, markdown_table
+from .metrics import METRIC_NAMES, evaluate_matrix, markdown_table
 from .pipeline import (
-    BASELINE_METRICS,
     PipelineConfig,
     expected_input_agnostic_row,
     input_agnostic_row,
@@ -151,6 +150,17 @@ def _transcripts_in_order(transcripts_path: str, wanted_ids: list[str]):
     return [by_id[i] for i in wanted_ids]
 
 
+def _load_lexicon(lexicon_path: str | None, task_map_path: str | None):
+    """The compiled lexicon and the task map checked against it; either may be None."""
+    lexicon = build_lexicon(load_concepts_file(lexicon_path)) if lexicon_path else None
+    task_map = load_task_map(task_map_path) if task_map_path else None
+    if task_map is not None:
+        if lexicon is None:
+            raise ConfigError("--task-map needs --lexicon to check it against")
+        validate_task_map_against_lexicon(task_map, lexicon)
+    return lexicon, task_map
+
+
 def _print_warnings(warnings: FieldWarnings) -> None:
     if warnings.total:
         counts = ", ".join(f"{k} x{v}" for k, v in warnings.summary().items())
@@ -240,9 +250,7 @@ def cmd_derive_labels(args) -> None:
 
 
 def cmd_build_lexicon(args) -> None:
-    lexicon = build_lexicon(load_concepts_file(args.concepts))
-    if args.task_map:
-        validate_task_map_against_lexicon(load_task_map(args.task_map), lexicon)
+    lexicon, _ = _load_lexicon(args.concepts, args.task_map)
     save_concepts_file(args.out, lexicon.concepts)
     inputs = [args.concepts] + ([args.task_map] if args.task_map else [])
     _write_manifest(Path(args.out), "build-lexicon", args.argv, inputs, [Path(args.out)])
@@ -251,23 +259,17 @@ def cmd_build_lexicon(args) -> None:
 
 
 def cmd_tag(args) -> None:
-    lexicon = build_lexicon(load_concepts_file(args.lexicon))
-    task_map = load_task_map(args.task_map) if args.task_map else None
-    if task_map is not None:
-        validate_task_map_against_lexicon(task_map, lexicon)
+    lexicon, task_map = _load_lexicon(args.lexicon, args.task_map)
     transcripts = load_transcripts(args.transcripts)
     rows = []
     for transcript in transcripts:
         if args.indices_only:
             rows.append({"id": transcript.id, "indices": umls_noteworthy(lexicon, transcript, task_map)})
         else:
-            hits = []
-            for index, utterance in enumerate(transcript.utterances):
-                for hit in tag_utterance(lexicon, utterance.text):
-                    if task_map is None or hit.cui in task_map:
-                        hits.append(
-                            {"utterance": index, "cui": hit.cui, "start": hit.start, "end": hit.end}
-                        )
+            hits = [
+                {"utterance": index, "cui": hit.cui, "start": hit.start, "end": hit.end}
+                for index, hit in transcript_hits(lexicon, transcript, task_map)
+            ]
             rows.append({"id": transcript.id, "hits": hits})
     write_jsonl(args.out, rows)
     inputs = [args.transcripts, args.lexicon] + ([args.task_map] if args.task_map else [])
@@ -340,18 +342,13 @@ def cmd_filter(args) -> None:
         if strategy.needs_model:
             if not args.filter:
                 raise ConfigError(f"strategy {args.strategy!r} needs --filter")
-            with open(args.filter, "r", encoding="utf-8") as handle:
-                fm = filter_from_record(json_loads(handle.read()))
+            fm = load_filter(args.filter)
             inputs.append(args.filter)
         if strategy.needs_lexicon:
             if not args.lexicon:
                 raise ConfigError(f"strategy {args.strategy!r} needs --lexicon")
-            lexicon = build_lexicon(load_concepts_file(args.lexicon))
-            inputs.append(args.lexicon)
-            if args.task_map:
-                task_map = load_task_map(args.task_map)
-                validate_task_map_against_lexicon(task_map, lexicon)
-                inputs.append(args.task_map)
+            lexicon, task_map = _load_lexicon(args.lexicon, args.task_map)
+            inputs += [path for path in (args.lexicon, args.task_map) if path]
         rows = [
             (
                 t.id,
@@ -393,17 +390,12 @@ def cmd_train(args) -> None:
     config = PipelineConfig(**record)
 
     inputs = [args.transcripts, args.labels]
-    fm = lexicon = task_map = override = None
+    fm = override = None
     if args.filter:
-        with open(args.filter, "r", encoding="utf-8") as handle:
-            fm = filter_from_record(json_loads(handle.read()))
+        fm = load_filter(args.filter)
         inputs.append(args.filter)
-    if args.lexicon:
-        lexicon = build_lexicon(load_concepts_file(args.lexicon))
-        inputs.append(args.lexicon)
-    if args.task_map:
-        task_map = load_task_map(args.task_map)
-        inputs.append(args.task_map)
+    lexicon, task_map = _load_lexicon(args.lexicon, args.task_map)
+    inputs += [path for path in (args.lexicon, args.task_map) if path]
     if args.indices:
         override = load_indices(args.indices)
         inputs.append(args.indices)
@@ -493,18 +485,16 @@ def cmd_baseline(args) -> None:
     if args.transcripts:
         if not (args.labels and args.lexicon and args.task_map):
             raise ConfigError("the entity row needs --labels, --lexicon, and --task-map")
-        lexicon = build_lexicon(load_concepts_file(args.lexicon))
-        task_map = load_task_map(args.task_map)
-        validate_task_map_against_lexicon(task_map, lexicon)
+        lexicon, task_map = _load_lexicon(args.lexicon, args.task_map)
         transcripts = _transcripts_in_order(args.transcripts, list(matrix.example_ids))
         predictions = entity_baseline_predict(lexicon, task_map, transcripts, space.labels)
         report = evaluate_matrix(
             predictions.astype(float), matrix.values, space.labels, threshold=0.5
         )
-        rows["entity"] = {m: report.aggregate[m] for m in BASELINE_METRICS}
+        rows["entity"] = {m: report.aggregate[m] for m in METRIC_NAMES}
         inputs += [args.transcripts, args.lexicon, args.task_map]
 
-    table = markdown_table(rows, list(BASELINE_METRICS))
+    table = markdown_table(rows, list(METRIC_NAMES))
     if args.out:
         record = {"task": args.task, "n_examples": n, "source": source, "rows": rows}
         atomic_write_text(args.out, json.dumps(record, indent=2) + "\n")
@@ -520,53 +510,45 @@ def cmd_sweep(args) -> None:
         raise ConfigError("train and test label files use different label spaces")
     train_transcripts = _transcripts_in_order(args.train_transcripts, list(train_matrix.example_ids))
     test_transcripts = _transcripts_in_order(args.test_transcripts, list(test_matrix.example_ids))
-    with open(args.filter, "r", encoding="utf-8") as handle:
-        fm = filter_from_record(json_loads(handle.read()))
+    fm = load_filter(args.filter)
     grid = sorted({float(g) for g in args.grid.split(",") if g.strip()})
-    if not grid:
-        raise ConfigError("sweep grid must be non-empty")
 
-    config_record = dict(
+    config = PipelineConfig(
         task=train_matrix.space.task, strategy="none", reg_c=args.reg_c, min_df=args.min_df
     )
-    train_probs = [utterance_probabilities(fm, t) for t in train_transcripts]
-    test_probs = [utterance_probabilities(fm, t) for t in test_transcripts]
-    points = []
-    for threshold in grid:
-        train_ov = {
-            t.id: np.flatnonzero(p >= threshold).tolist()
-            for t, p in zip(train_transcripts, train_probs)
-        }
-        test_ov = {
-            t.id: np.flatnonzero(p >= threshold).tolist()
-            for t, p in zip(test_transcripts, test_probs)
-        }
-        point = {
-            "threshold": threshold,
+    n_train = len(train_transcripts)
+    # threshold_sweep calls evaluate once per grid value, in ascending order.
+    details: list[dict] = []
+
+    def evaluate(selected: list[list[int]]) -> dict[str, float]:
+        train_ov = {t.id: selected[i] for i, t in enumerate(train_transcripts)}
+        test_ov = {t.id: selected[n_train + i] for i, t in enumerate(test_transcripts)}
+        detail = {
             "mean_selected": float(np.mean([len(v) for v in test_ov.values()])),
             "trained": True,
         }
+        details.append(detail)
         try:
             pipeline = train_pipeline(
-                PipelineConfig(**config_record),
-                train_transcripts,
-                train_matrix,
-                indices_override=train_ov,
+                config, train_transcripts, train_matrix, indices_override=train_ov
             )
             scores = run_pipeline(pipeline, test_transcripts, indices_override=test_ov)
-            report = evaluate_matrix(
-                scores.scores, test_matrix.values, test_matrix.space.labels, threshold=0.5
-            )
-            point["metrics"] = report.aggregate
         except (FitError, TrainingError) as exc:
             # A threshold that strands the trainer without features scores 0.
-            point["trained"] = False
-            point["reason"] = str(exc)
-            point["metrics"] = {m: 0.0 for m in BASELINE_METRICS}
-        points.append(point)
+            detail["trained"] = False
+            detail["reason"] = str(exc)
+            return {m: 0.0 for m in METRIC_NAMES}
+        return evaluate_matrix(
+            scores.scores, test_matrix.values, test_matrix.space.labels, threshold=0.5
+        ).aggregate
+
+    sweep = threshold_sweep(fm, train_transcripts + test_transcripts, evaluate, grid)
+    points = []
+    for point, detail in zip(sweep, details):
+        points.append({"threshold": point.threshold, **detail, "metrics": point.metrics})
         print(
-            f"threshold={threshold:g} selected={point['mean_selected']:.2f} "
-            f"{args.metric}={point['metrics'].get(args.metric, 0.0):.4f}"
+            f"threshold={point.threshold:g} selected={detail['mean_selected']:.2f} "
+            f"{args.metric}={point.metrics.get(args.metric, 0.0):.4f}"
         )
     best = max(points, key=lambda p: p["metrics"].get(args.metric, 0.0))
     record = {
@@ -716,7 +698,7 @@ def build_parser() -> _Parser:
     p.add_argument("--test-labels", required=True)
     p.add_argument("--filter", required=True)
     p.add_argument("--grid", required=True, help="comma-separated thresholds in [0, 1]")
-    p.add_argument("--metric", choices=BASELINE_METRICS, default="micro_f1")
+    p.add_argument("--metric", choices=METRIC_NAMES, default="micro_f1")
     p.add_argument("--reg-c", type=float, dest="reg_c", default=1.0)
     p.add_argument("--min-df", type=int, dest="min_df", default=2)
     p.add_argument("--out", required=True)

@@ -1,11 +1,11 @@
-"""Dictionary-based concept matching over normalized utterance text.
+"""Dictionary-based concept matching over tokenized utterance text.
 
-A lexicon maps concept ids to synonym phrase lists. Matching is exact on
-normalized text, aligned to word boundaries, with overlaps resolved by
-longest match first and then leftmost position. Each concept id can belong to
-a task map that ties it to a diagnosis label or to a review-of-systems
-(system, symptom) pair; task maps drive the entity baseline and the
-concept-hit noteworthy filter.
+A lexicon maps concept ids to synonym phrase lists. Matching is exact on the
+token sequence of :func:`features.tokenize`, so it is aligned to word
+boundaries, with overlaps resolved by longest match first and then leftmost
+position. Each concept id can belong to a task map that ties it to a
+diagnosis label or to a review-of-systems (system, symptom) pair; task maps
+drive the entity baseline and the concept-hit noteworthy filter.
 
 Lexicon JSON::
 
@@ -22,7 +22,6 @@ Task map JSON::
 from __future__ import annotations
 
 import json
-import re
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,20 +29,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import LexiconError, ParseError, ValidationError
+from .features import tokenize
 from .jsonio import atomic_write_text, json_loads
 from .transcripts import Transcript
-
-_NON_ALNUM = re.compile(r"[^0-9a-z]+")
-
-
-def normalize_for_match(text: str) -> str:
-    """Lowercase, map runs of non-alphanumeric characters to single spaces.
-
-    "Heart-Attack!!" -> "heart attack". The result has no leading, trailing,
-    or repeated spaces, so word k starts at a char offset computable from the
-    lengths of words 0..k-1.
-    """
-    return _NON_ALNUM.sub(" ", text.lower()).strip()
 
 
 @dataclass
@@ -56,7 +44,7 @@ class Concept:
 @dataclass
 class ConceptHit:
     cui: str
-    start: int  # [start, end) span in the normalized text
+    start: int  # [start, end) span in " ".join(tokens)
     end: int
 
 
@@ -77,9 +65,10 @@ def build_lexicon(concepts: Iterable[Concept]) -> ConceptLexicon:
     """Validate concepts and compile the pattern table.
 
     Within a concept the canonical name is folded into the synonym set and
-    duplicates collapse silently. The same normalized synonym appearing under
-    two different concept ids is an error naming both ids, since a hit could
-    not be attributed. Synonyms that normalize to nothing are errors too.
+    duplicates collapse silently. Each synonym is stored as its tokens joined
+    by single spaces. The same token sequence appearing under two different
+    concept ids is an error naming both ids, since a hit could not be
+    attributed. Synonyms without tokens are errors too.
     """
     compiled: list[Concept] = []
     patterns: dict[tuple[str, ...], str] = {}
@@ -91,19 +80,19 @@ def build_lexicon(concepts: Iterable[Concept]) -> ConceptLexicon:
         if concept.cui in seen_cuis:
             raise LexiconError(f"duplicate concept id {concept.cui!r}")
         seen_cuis.add(concept.cui)
-        if not normalize_for_match(concept.canonical):
+        if not tokenize(concept.canonical):
             raise LexiconError(f"concept {concept.cui}: canonical name normalizes to nothing")
         normalized: list[str] = []
         for synonym in [concept.canonical, *concept.synonyms]:
-            norm = normalize_for_match(synonym)
-            if not norm:
+            key = tuple(tokenize(synonym))
+            if not key:
                 raise LexiconError(
                     f"concept {concept.cui}: synonym {synonym!r} normalizes to nothing"
                 )
+            norm = " ".join(key)
             if norm in normalized:
                 continue
             normalized.append(norm)
-            key = tuple(norm.split(" "))
             if key in owners and owners[key] != concept.cui:
                 raise LexiconError(
                     f"synonym {norm!r} maps to both {owners[key]} and {concept.cui}"
@@ -116,16 +105,15 @@ def build_lexicon(concepts: Iterable[Concept]) -> ConceptLexicon:
     return ConceptLexicon(compiled, patterns)
 
 
-def tag_utterance(lexicon: ConceptLexicon, text: str) -> list[ConceptHit]:
-    """All concept hits in one utterance, left to right, non-overlapping.
+def tag_utterance(lexicon: ConceptLexicon, words: Sequence[str]) -> list[ConceptHit]:
+    """All concept hits in one tokenized utterance, left to right, non-overlapping.
 
-    At each word position the longest matching pattern wins and scanning
-    resumes after it, so no returned span is contained in another.
+    ``words`` is ``tokenize(text)``. At each word position the longest
+    matching pattern wins and scanning resumes after it, so no returned span
+    is contained in another. Spans index ``" ".join(words)``.
     """
-    normalized = normalize_for_match(text)
-    if not normalized:
-        return []
-    words = normalized.split(" ")
+    if isinstance(words, str):
+        raise ValidationError("tag_utterance takes a token list, not a string")
     starts = []
     offset = 0
     for word in words:
@@ -171,9 +159,6 @@ class TaskMap:
 
     def __contains__(self, cui: str) -> bool:
         return cui in self.labels
-
-    def label_values(self) -> list[str]:
-        return sorted(set(self.labels.values()))
 
 
 def parse_task_map(record: dict) -> TaskMap:
@@ -263,13 +248,22 @@ def validate_task_map_against_lexicon(task_map: TaskMap, lexicon: ConceptLexicon
 # Entity baseline and concept-hit noteworthiness
 
 
-def transcript_hits(lexicon: ConceptLexicon, transcript: Transcript) -> list[tuple[int, ConceptHit]]:
-    """(utterance index, hit) pairs across a whole transcript."""
-    results = []
-    for index, utterance in enumerate(transcript.utterances):
-        for hit in tag_utterance(lexicon, utterance.text):
-            results.append((index, hit))
-    return results
+def transcript_hits(
+    lexicon: ConceptLexicon,
+    transcript: Transcript,
+    task_map: TaskMap | None = None,
+) -> list[tuple[int, ConceptHit]]:
+    """(utterance index, hit) pairs across a whole transcript, in text order.
+
+    With a task map, only hits on concepts routed by that map count; without
+    one, any concept in the lexicon counts.
+    """
+    return [
+        (index, hit)
+        for index, utterance in enumerate(transcript.utterances)
+        for hit in tag_utterance(lexicon, tokenize(utterance.text))
+        if task_map is None or hit.cui in task_map
+    ]
 
 
 def entity_baseline_predict(
@@ -286,12 +280,10 @@ def entity_baseline_predict(
     index = {label: j for j, label in enumerate(labels)}
     values = np.zeros((len(transcripts), len(labels)), dtype=np.uint8)
     for i, transcript in enumerate(transcripts):
-        for _, hit in transcript_hits(lexicon, transcript):
-            label = task_map.labels.get(hit.cui)
-            if label is not None:
-                j = index.get(label)
-                if j is not None:
-                    values[i, j] = 1
+        for _, hit in transcript_hits(lexicon, transcript, task_map):
+            j = index.get(task_map.labels[hit.cui])
+            if j is not None:
+                values[i, j] = 1
     return values
 
 
@@ -300,15 +292,5 @@ def umls_noteworthy(
     transcript: Transcript,
     task_map: TaskMap | None = None,
 ) -> list[int]:
-    """Ascending indices of utterances containing at least one concept hit.
-
-    With a task map, only hits on concepts routed by that map count; without
-    one, any concept in the lexicon counts.
-    """
-    indices = []
-    for i, utterance in enumerate(transcript.utterances):
-        for hit in tag_utterance(lexicon, utterance.text):
-            if task_map is None or hit.cui in task_map:
-                indices.append(i)
-                break
-    return indices
+    """Ascending indices of utterances with at least one (routed) concept hit."""
+    return sorted({index for index, _ in transcript_hits(lexicon, transcript, task_map)})

@@ -35,7 +35,7 @@ from pathlib import Path
 from .annotations import SoapNote, noteworthy_targets
 from .concepts import ConceptLexicon, TaskMap, umls_noteworthy
 from .errors import ConfigError, ParseError, TrainingError
-from .jsonio import iter_jsonl, write_jsonl
+from .jsonio import iter_jsonl, json_loads, write_jsonl
 from .features import (
     Vocabulary,
     fit_vocabulary,
@@ -234,6 +234,11 @@ def filter_from_record(record: dict) -> FilterModel:
     )
 
 
+def load_filter(path: str | Path) -> FilterModel:
+    with open(path, "r", encoding="utf-8") as handle:
+        return filter_from_record(json_loads(handle.read()))
+
+
 # ---------------------------------------------------------------------------
 # Selection
 
@@ -348,11 +353,12 @@ def threshold_sweep(
     """
     if not grid:
         raise ConfigError("sweep grid must be non-empty")
+    for threshold in grid:
+        if not 0.0 <= threshold <= 1.0:
+            raise ConfigError(f"sweep threshold {threshold} outside [0, 1]")
     probabilities = [utterance_probabilities(fm, t) for t in transcripts]
     points = []
     for threshold in sorted(grid):
-        if not 0.0 <= threshold <= 1.0:
-            raise ConfigError(f"sweep threshold {threshold} outside [0, 1]")
         selected = [np.flatnonzero(p >= threshold).tolist() for p in probabilities]
         mean_selected = (
             float(np.mean([len(s) for s in selected])) if selected else 0.0

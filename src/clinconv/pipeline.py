@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -49,13 +49,7 @@ from .linear import (
     ovr_proba_matrix,
     train_ovr,
 )
-from .metrics import (
-    auc_scores,
-    binarize,
-    cell_accuracy,
-    f1_scores,
-    precision_at_1,
-)
+from .metrics import METRIC_NAMES, evaluate_matrix
 from .transcripts import Transcript
 
 PIPELINE_BACKENDS = ("logistic", "naive_bayes", "encoder")
@@ -477,22 +471,38 @@ def _check_heads(
                 )
 
 
+def _section(path: str | Path, record: dict, name: str, required: tuple[str, ...]) -> dict:
+    section = record.get(name)
+    if not isinstance(section, dict):
+        raise ConfigError(f"{path}: pipeline file has no {name!r} section")
+    missing = [key for key in required if key not in section]
+    if missing:
+        raise ConfigError(f"{path}: {name!r} section lacks {missing}")
+    return section
+
+
 def load_pipeline(path: str | Path) -> TrainedPipeline:
     with open(path, "r", encoding="utf-8") as handle:
         record = json_loads(handle.read())
-    if record.get("format") != "clinconv-pipeline-v1":
+    if not isinstance(record, dict) or record.get("format") != "clinconv-pipeline-v1":
         raise ConfigError(f"{path} is not a pipeline file")
-    config = PipelineConfig(**record["config"])
+    config_record = _section(path, record, "config", ("task",))
+    unknown = sorted(set(config_record) - {f.name for f in fields(PipelineConfig)})
+    if unknown:
+        raise ConfigError(f"{path}: unknown config keys {unknown}")
+    config = PipelineConfig(**config_record)
+    space_record = _section(path, record, "space", ("task", "labels", "train_prevalence"))
     space = LabelSpace(
-        task=record["space"]["task"],
-        labels=tuple(record["space"]["labels"]),
-        train_prevalence=np.asarray(record["space"]["train_prevalence"], dtype=float),
+        task=space_record["task"],
+        labels=tuple(space_record["labels"]),
+        train_prevalence=np.asarray(space_record["train_prevalence"], dtype=float),
     )
+    ovr_record = _section(path, record, "ovr", ("backend", "models"))
     ovr = OneVsRestModel(
         labels=space.labels,
-        backend=record["ovr"]["backend"],
-        models=[_model_from_record(m) for m in record["ovr"]["models"]],
-        reg_c=float(record["ovr"].get("reg_c", 1.0)),
+        backend=ovr_record["backend"],
+        models=[_model_from_record(m) for m in ovr_record["models"]],
+        reg_c=float(ovr_record.get("reg_c", 1.0)),
     )
     vocab = None
     if "vocab" in record:
@@ -533,8 +543,6 @@ def load_pipeline(path: str | Path) -> TrainedPipeline:
 
 # ---------------------------------------------------------------------------
 # Input-agnostic baselines
-
-BASELINE_METRICS = ("accuracy", "macro_f1", "micro_f1", "macro_auc", "micro_auc", "p_at_1")
 
 
 def micro_f1_optimal_prefix(prevalence: np.ndarray) -> list[int]:
@@ -588,7 +596,7 @@ def input_agnostic_predict(
     constant per-label scores (train prevalence unless ``rank_scores``
     overrides the ranking, e.g. with training-set frequencies).
     """
-    if metric not in BASELINE_METRICS:
+    if metric not in METRIC_NAMES:
         raise ConfigError(f"unknown baseline metric {metric!r}")
     ids = (
         [f"ex{i:05d}" for i in range(examples)]
@@ -639,20 +647,10 @@ def input_agnostic_row(
     if tuple(truth.space.labels) != tuple(space.labels):
         raise ConfigError("truth matrix labels do not match the space")
     row: dict[str, float] = {}
-    for metric in BASELINE_METRICS:
+    for metric in METRIC_NAMES:
         predicted = input_agnostic_predict(space, metric, truth.example_ids, rank_scores)
-        if metric == "accuracy":
-            row[metric] = cell_accuracy(binarize(predicted.scores), truth.values)
-        elif metric == "macro_f1":
-            row[metric] = f1_scores(binarize(predicted.scores), truth.values).macro_f1
-        elif metric == "micro_f1":
-            row[metric] = f1_scores(binarize(predicted.scores), truth.values).micro_f1
-        elif metric == "macro_auc":
-            row[metric] = auc_scores(predicted.scores, truth.values).macro_auc
-        elif metric == "micro_auc":
-            row[metric] = auc_scores(predicted.scores, truth.values).micro_auc
-        else:
-            row[metric] = precision_at_1(predicted.scores, truth.values).p_at_1
+        report = evaluate_matrix(predicted.scores, truth.values, space.labels)
+        row[metric] = report.aggregate[metric]
     return row
 
 

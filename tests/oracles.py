@@ -2,18 +2,20 @@
 
 Everything here is written as plainly as possible: explicit Python loops for
 the metrics, first-order gradient descent for the optimizer, central finite
-differences for gradients, and one document at a time for featurization.
-Slow on purpose; correctness over speed.
+differences for gradients, one document at a time for featurization, and
+concept matching on normalized text. Slow on purpose; correctness over speed.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 
 import numpy as np
 import scipy.sparse as sp
 
+from clinconv.errors import LexiconError
 from clinconv.features import doc_terms
 
 
@@ -305,3 +307,84 @@ def same_csr(a, b) -> bool:
         and np.array_equal(a.indices, b.indices)
         and np.array_equal(a.indptr, b.indptr)
     )
+
+
+# ---------------------------------------------------------------------------
+# Concept matching on normalized text
+
+_NON_ALNUM = re.compile(r"[^0-9a-z]+")
+
+
+def normalize_for_match(text: str) -> str:
+    """Lowercase, map runs of non-alphanumeric characters to single spaces.
+
+    "Heart-Attack!!" -> "heart attack". The result has no leading, trailing,
+    or repeated spaces, so word k starts at a char offset computable from the
+    lengths of words 0..k-1.
+    """
+    return _NON_ALNUM.sub(" ", text.lower()).strip()
+
+
+def oracle_lexicon(concepts) -> tuple[dict[tuple[str, ...], str], list[list[str]]]:
+    """Pattern table and each concept's stored synonyms, from normalized text.
+
+    Raises LexiconError, with the library's message, wherever compiling the
+    lexicon must fail.
+    """
+    patterns: dict[tuple[str, ...], str] = {}
+    stored: list[list[str]] = []
+    seen_cuis: set[str] = set()
+    for concept in concepts:
+        if not concept.cui:
+            raise LexiconError("concept with empty cui")
+        if concept.cui in seen_cuis:
+            raise LexiconError(f"duplicate concept id {concept.cui!r}")
+        seen_cuis.add(concept.cui)
+        if not normalize_for_match(concept.canonical):
+            raise LexiconError(f"concept {concept.cui}: canonical name normalizes to nothing")
+        normalized: list[str] = []
+        for synonym in [concept.canonical, *concept.synonyms]:
+            norm = normalize_for_match(synonym)
+            if not norm:
+                raise LexiconError(
+                    f"concept {concept.cui}: synonym {synonym!r} normalizes to nothing"
+                )
+            if norm in normalized:
+                continue
+            normalized.append(norm)
+            key = tuple(norm.split(" "))
+            if patterns.get(key, concept.cui) != concept.cui:
+                raise LexiconError(
+                    f"synonym {norm!r} maps to both {patterns[key]} and {concept.cui}"
+                )
+            patterns[key] = concept.cui
+        stored.append(normalized)
+    return patterns, stored
+
+
+def oracle_tag(patterns: dict[tuple[str, ...], str], text: str) -> list[tuple[str, int, int]]:
+    """(cui, start, end) hits in normalized text: longest match, then leftmost.
+
+    Tries every pattern length at every word and searches the normalized
+    string itself for the span, instead of computing offsets from word lengths.
+    """
+    normalized = normalize_for_match(text)
+    if not normalized:
+        return []
+    words = normalized.split(" ")
+    longest = max((len(key) for key in patterns), default=0)
+    hits = []
+    i = 0
+    while i < len(words):
+        for length in range(min(longest, len(words) - i), 0, -1):
+            cui = patterns.get(tuple(words[i : i + length]))
+            if cui is not None:
+                start = len(" ".join(words[:i])) + (1 if i else 0)
+                phrase = " ".join(words[i : i + length])
+                assert normalized[start : start + len(phrase)] == phrase
+                hits.append((cui, start, start + len(phrase)))
+                i += length
+                break
+        else:
+            i += 1
+    return hits

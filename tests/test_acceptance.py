@@ -35,13 +35,14 @@ from clinconv import (
     run_pipeline,
     split_pairs,
     threshold_sweep,
+    tokenize,
     train_filter,
     train_logistic,
     train_pipeline,
     utterance_probabilities,
 )
 from clinconv.bundled import bundled_concepts
-from clinconv.concepts import normalize_for_match, parse_concepts
+from clinconv.concepts import parse_concepts
 from clinconv.linear import logistic_objective
 from clinconv.metrics import auc_scores, cell_accuracy, f1_scores, precision_at_1, rank_auc
 from clinconv.pipeline import HashedTokenEncoder, chunk_and_pool, input_agnostic_predict
@@ -398,10 +399,10 @@ def test_criterion_07_entity_baseline_exactness():
     # Control: speech uses only paraphrases that embed no canonical phrase,
     # while the matching table knows only canonicals, so nothing can match.
     concepts = parse_concepts(bundled_concepts())
-    canonical_sequences = [tuple(normalize_for_match(c.canonical).split()) for c in concepts]
+    canonical_sequences = [tuple(tokenize(c.canonical)) for c in concepts]
 
     def embeds_canonical(phrase: str) -> bool:
-        tokens = tuple(normalize_for_match(phrase).split())
+        tokens = tuple(tokenize(phrase))
         return any(
             tokens[i : i + len(seq)] == seq
             for seq in canonical_sequences

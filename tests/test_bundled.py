@@ -47,7 +47,7 @@ def test_reference_space_and_rank_scores(task):
 def test_task_maps_route_every_label(task):
     task_map = bundled_task_map(task)
     reference = reference_labels(task)
-    assert set(task_map.label_values()) == set(reference.labels)
+    assert set(task_map.labels.values()) == set(reference.labels)
 
 
 def test_task_map_concepts_exist_in_lexicon():

@@ -199,3 +199,44 @@ def test_sweep_writes_sorted_points(workspace, tmp_path):
     assert record["points"][-1]["trained"] is False  # threshold 1 selects nothing
     assert all(v == 0.0 for v in record["points"][-1]["metrics"].values())
     assert record["best_threshold"] in thresholds
+
+
+def test_sweep_rejects_grid_outside_unit_interval(workspace, tmp_path, capsys):
+    root, run = workspace
+    out = tmp_path / "sweep.json"
+    corpus = root / "corpus" / "transcripts.jsonl"
+    assert run("sweep", "--train-transcripts", corpus, "--train-labels", root / "diag.jsonl",
+               "--test-transcripts", corpus, "--test-labels", root / "diag.jsonl",
+               "--filter", root / "filter.json", "--grid", "0.2,1.5",
+               "--min-df", "1", "--out", out) == 2
+    assert "1.5 outside [0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_checks_the_task_map_against_the_lexicon(workspace, tmp_path, capsys):
+    root, run = workspace
+    unknown = tmp_path / "unknown.json"
+    unknown.write_text(json.dumps(
+        {"task": "diagnosis", "map": [{"cui": "NOPE1", "label": "hypertension"}]}
+    ))
+    train = ("train", "--transcripts", root / "corpus" / "transcripts.jsonl",
+             "--labels", root / "diag.jsonl", "--min-df", "1",
+             "--out", tmp_path / "pipe.json")
+    assert run(*train, "--lexicon", DATA / "concept_lexicon.json", "--task-map", unknown) == 2
+    assert "NOPE1" in capsys.readouterr().err
+    assert run(*train, "--task-map", DATA / "diagnosis_task_map.json") == 2
+    assert "--lexicon" in capsys.readouterr().err
+    assert not (tmp_path / "pipe.json").exists()
+
+
+def test_predict_rejects_a_malformed_pipeline(workspace, tmp_path, capsys):
+    root, run = workspace
+    record = json.loads((root / "pipe.json").read_text())
+    del record["ovr"]
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(record))
+    assert run("predict", "--pipeline", broken,
+               "--transcripts", root / "corpus" / "transcripts.jsonl",
+               "--out", tmp_path / "scores.jsonl") == 2
+    err = capsys.readouterr().err
+    assert str(broken) in err and "'ovr'" in err

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clinconv import (
     Concept,
@@ -15,17 +17,18 @@ from clinconv import (
     entity_baseline_predict,
     load_concepts_file,
     tag_utterance,
+    tokenize,
     umls_noteworthy,
 )
 from clinconv.bundled import bundled_concepts
 from clinconv.concepts import (
-    normalize_for_match,
     parse_concepts,
     parse_task_map,
     save_concepts_file,
     transcript_hits,
     validate_task_map_against_lexicon,
 )
+from oracles import normalize_for_match, oracle_lexicon, oracle_tag
 
 CONCEPTS = [
     Concept("C1", "myocardial infarction", ["heart attack", "mi"]),
@@ -39,45 +42,49 @@ def lex():
     return build_lexicon(CONCEPTS)
 
 
-def test_normalize_for_match_is_token_canonical():
-    assert normalize_for_match("Heart-Attack,  maybe?") == "heart attack maybe"
+def tag(lexicon, text):
+    return tag_utterance(lexicon, tokenize(text))
 
 
 def test_canonical_phrase_counts_as_synonym(lex):
-    hits = tag_utterance(lex, "she had a myocardial infarction last year")
+    hits = tag(lex, "she had a myocardial infarction last year")
     assert [h.cui for h in hits] == ["C1"]
 
 
 def test_longest_match_wins(lex):
-    hits = tag_utterance(lex, "reports chest pain since tuesday")
+    hits = tag(lex, "reports chest pain since tuesday")
     assert [h.cui for h in hits] == ["C2"]  # not the bare "pain" concept
 
 
 def test_bare_concept_still_matches_alone(lex):
-    assert [h.cui for h in tag_utterance(lex, "the pain comes and goes")] == ["C3"]
+    assert [h.cui for h in tag(lex, "the pain comes and goes")] == ["C3"]
 
 
 def test_matching_ignores_case_and_punctuation(lex):
-    hits = tag_utterance(lex, "Heart attack?! In 2019.")
+    hits = tag(lex, "Heart attack?! In 2019.")
     assert [h.cui for h in hits] == ["C1"]
 
 
 def test_token_boundaries_respected(lex):
     # "main" contains "mi" as characters but not as a token
-    assert tag_utterance(lex, "the main issue today") == []
+    assert tag(lex, "the main issue today") == []
 
 
 def test_spans_index_the_normalized_text(lex):
-    text = "severe chest pain tonight"
-    hits = tag_utterance(lex, text)
+    words = tokenize("severe Chest-Pain, tonight")
+    hits = tag_utterance(lex, words)
     assert len(hits) == 1
-    normalized = normalize_for_match(text)
     start, end = hits[0].start, hits[0].end
-    assert normalized[start:end] == "chest pain"
+    assert " ".join(words)[start:end] == "chest pain"
+
+
+def test_tag_utterance_rejects_a_string(lex):
+    with pytest.raises(ValidationError, match="token list"):
+        tag_utterance(lex, "chest pain")
 
 
 def test_adjacent_hits_do_not_overlap(lex):
-    hits = tag_utterance(lex, "heart attack then chest pain then pain")
+    hits = tag(lex, "heart attack then chest pain then pain")
     assert [h.cui for h in hits] == ["C1", "C2", "C3"]
     for left, right in zip(hits, hits[1:]):
         assert left.end <= right.start
@@ -184,3 +191,65 @@ def test_bundled_concepts_compile_and_cover_task_maps():
 
     for task in ("diagnosis", "ros"):
         validate_task_map_against_lexicon(bundled_task_map(task), lexicon)
+
+
+# Letters the tokenizer keeps and ones it drops: "é", "É" and "ß" fall out,
+# "İ" lowercases to "i" plus a combining dot, and the Kelvin sign to ASCII "k".
+_WORD_CHARS = "abcxyzABXZ019éÉßİ\u212a"
+_SEPARATORS = " -.,;!?'/\t"
+_words = st.text(alphabet=_WORD_CHARS, min_size=1, max_size=4)
+_gaps = st.text(alphabet=_SEPARATORS, max_size=2)
+
+
+@st.composite
+def _phrases(draw) -> str:
+    words = draw(st.lists(_words, min_size=1, max_size=3))
+    return "".join(draw(_gaps) + word for word in words) + draw(_gaps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_tagger_equals_the_normalized_text_oracle(data):
+    synonym_lists = data.draw(
+        st.lists(st.lists(_phrases(), min_size=1, max_size=3), min_size=1, max_size=4)
+    )
+    concepts = [
+        Concept(f"C{i}", synonyms[0], synonyms[1:]) for i, synonyms in enumerate(synonym_lists)
+    ]
+    try:
+        patterns, stored = oracle_lexicon(concepts)
+    except LexiconError as error:
+        with pytest.raises(LexiconError) as raised:
+            build_lexicon(concepts)
+        assert str(raised.value) == str(error)
+        return
+    lexicon = build_lexicon(concepts)
+    assert lexicon.patterns == patterns
+    assert [c.synonyms for c in lexicon.concepts] == stored
+
+    known = [phrase for synonyms in synonym_lists for phrase in synonyms]
+    pieces = st.one_of(_phrases(), st.sampled_from(known), st.sampled_from(known).map(str.upper))
+    texts = data.draw(
+        st.lists(
+            st.lists(pieces, min_size=1, max_size=5).map(" ".join).filter(str.strip),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    for text in texts:
+        assert " ".join(tokenize(text)) == normalize_for_match(text)
+    transcript = _transcript(texts)
+    expected = [
+        (index, *hit) for index, text in enumerate(texts) for hit in oracle_tag(patterns, text)
+    ]
+    got = [(index, h.cui, h.start, h.end) for index, h in transcript_hits(lexicon, transcript)]
+    assert got == expected
+
+    task_map = parse_task_map(
+        {"task": "diagnosis", "map": [{"cui": "C0", "label": "zero"}]}
+    )
+    routed = [hit for hit in expected if hit[1] == "C0"]
+    got_routed = transcript_hits(lexicon, transcript, task_map)
+    assert [(index, h.cui, h.start, h.end) for index, h in got_routed] == routed
+    assert umls_noteworthy(lexicon, transcript, task_map) == sorted({hit[0] for hit in routed})
+    assert umls_noteworthy(lexicon, transcript) == sorted({hit[0] for hit in expected})

@@ -30,8 +30,8 @@ from clinconv import (
     utterance_probabilities,
 )
 from clinconv.linear import ovr_proba_matrix, predict_proba_matrix
+from clinconv.metrics import METRIC_NAMES
 from clinconv.pipeline import (
-    BASELINE_METRICS,
     HashedTokenEncoder,
     assemble_filtered_segments,
     chunk_and_pool,
@@ -94,6 +94,30 @@ def test_pipeline_file_format_guard(tmp_path):
     path.write_text('{"format": "something-else"}\n')
     with pytest.raises(ConfigError):
         load_pipeline(path)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda r: r["config"].update(jobs=2), "unknown config keys ['jobs']"),
+        (lambda r: r["config"].pop("task"), "'config' section lacks ['task']"),
+        (lambda r: r.pop("config"), "no 'config' section"),
+        (lambda r: r.pop("ovr"), "no 'ovr' section"),
+        (lambda r: r["ovr"].pop("models"), "'ovr' section lacks ['models']"),
+        (lambda r: r["space"].pop("labels"), "'space' section lacks ['labels']"),
+    ],
+    ids=["unknown-config-key", "no-task", "no-config", "no-ovr", "no-models", "no-labels"],
+)
+def test_malformed_pipeline_artifact_rejected(tmp_path, trained_pipeline, corrupt, message):
+    path = tmp_path / "pipe.json"
+    save_pipeline(path, trained_pipeline[2])
+    record = json.loads(path.read_text())
+    corrupt(record)
+    path.write_text(json.dumps(record))
+    with pytest.raises(ConfigError) as raised:
+        load_pipeline(path)
+    assert str(raised.value).startswith(f"{path}: ")
+    assert message in str(raised.value)
 
 
 def test_scores_file_round_trip(tmp_path, trained_pipeline):
@@ -323,7 +347,7 @@ def test_replay_matches_closed_form_on_exact_prevalences(rng):
         truth = prevalence_truth_matrix(space, n)
         replay = input_agnostic_row(space, truth)
         expected = expected_input_agnostic_row(prevalence)
-        for metric in BASELINE_METRICS:
+        for metric in METRIC_NAMES:
             assert replay[metric] == pytest.approx(expected[metric], abs=1e-9), metric
 
 
@@ -333,7 +357,7 @@ def test_input_agnostic_predict_is_constant_per_metric():
     space = LabelSpace(
         task="ros", labels=("x", "y", "z"), train_prevalence=[0.7, 0.2, 0.1]
     )
-    for metric in BASELINE_METRICS:
+    for metric in METRIC_NAMES:
         matrix = input_agnostic_predict(space, metric, 5)
         assert np.all(matrix.scores == matrix.scores[0])
     accuracy_row = input_agnostic_predict(space, "accuracy", 1).scores[0]
