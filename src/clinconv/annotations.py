@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .jsonio import FieldWarnings, iter_jsonl, json_loads, write_jsonl
+from .jsonio import FieldWarnings, Fields, as_fields, read_jsonl, write_jsonl
 from .transcripts import Transcript
 
 SUBSECTIONS = (
@@ -162,84 +162,41 @@ class RosDerivation:
 # Parsing and validation
 
 
-def parse_note(
-    record: str | bytes | dict,
-    line_number: int | None = None,
-    warnings: FieldWarnings | None = None,
-) -> SoapNote:
+def parse_note(record: dict | Fields, warnings: FieldWarnings | None = None) -> SoapNote:
     """Parse and structurally validate one note record."""
-    if isinstance(record, (str, bytes)):
-        record = json_loads(record, line_number)
-    if not isinstance(record, dict):
-        raise ParseError("note record must be a JSON object", line_number)
-    for name in ("transcript_id", "entries"):
-        if name not in record:
-            raise ParseError(f"note record missing field {name!r}", line_number)
+    note = as_fields(record, "note")
+    transcript_id = note.get("transcript_id", str)
+    entries = note.records("entries")
     if warnings is not None:
-        for name in record.keys() - _NOTE_FIELDS:
+        for name in note.record.keys() - _NOTE_FIELDS:
             warnings.note("note", name)
-    if not isinstance(record["entries"], list):
-        raise ParseError("'entries' must be a list", line_number)
+    return SoapNote(transcript_id, [_parse_entry(entry, warnings) for entry in entries])
 
-    entries = []
-    for index, item in enumerate(record["entries"]):
-        if not isinstance(item, dict):
-            raise ParseError(f"entry {index} must be a JSON object", line_number)
-        if "subsection" not in item:
-            raise ParseError(f"entry {index} missing field 'subsection'", line_number)
-        subsection = item["subsection"]
-        if subsection not in SUBSECTIONS:
-            raise ValidationError(
-                f"entry {index}: unknown subsection {subsection!r}"
-                + (f" (line {line_number})" if line_number else "")
-            )
-        if warnings is not None:
-            for name in item.keys() - _ENTRY_FIELDS:
-                warnings.note("entry", name)
-        tags = []
-        for tag in item.get("tags", []):
-            if not isinstance(tag, dict) or "key" not in tag or "value" not in tag:
-                raise ParseError(
-                    f"entry {index}: tags must be objects with 'key' and 'value'",
-                    line_number,
-                )
-            tags.append(TagPair(key=str(tag["key"]), value=str(tag["value"])))
-        evidence = item.get("evidence", [])
-        if not isinstance(evidence, list) or not all(
-            isinstance(e, int) and not isinstance(e, bool) and e >= 0 for e in evidence
-        ):
-            raise ValidationError(
-                f"entry {index}: evidence must be a list of non-negative integers"
-                + (f" (line {line_number})" if line_number else "")
-            )
-        observations = []
-        for obs in item.get("ros", []):
-            if not isinstance(obs, dict) or not {"system", "symptom", "result"} <= obs.keys():
-                raise ParseError(
-                    f"entry {index}: ros observations need system/symptom/result",
-                    line_number,
-                )
-            if obs["result"] not in ROS_RESULTS:
-                raise ValidationError(
-                    f"entry {index}: ros result {obs['result']!r} not in {ROS_RESULTS}"
-                )
-            observations.append(
-                RosObservation(
-                    system=str(obs["system"]),
-                    symptom=str(obs["symptom"]),
-                    result=obs["result"],
-                )
-            )
-        entries.append(
-            NoteEntry(
-                subsection=subsection,
-                text=str(item.get("text", "")),
-                tags=tags,
-                evidence=list(evidence),
-                ros=observations,
-            )
-        )
-    return SoapNote(transcript_id=str(record["transcript_id"]), entries=entries)
+
+def _parse_entry(entry: Fields, warnings: FieldWarnings | None) -> NoteEntry:
+    subsection = entry.get("subsection", str)
+    if subsection not in SUBSECTIONS:
+        raise entry.fail(f"{entry.path}: unknown subsection {subsection!r}", ValidationError)
+    if warnings is not None:
+        for name in entry.record.keys() - _ENTRY_FIELDS:
+            warnings.note("entry", name)
+    evidence = entry.get("evidence", list) if "evidence" in entry else []
+    if not all(type(index) is int and index >= 0 for index in evidence):
+        raise entry.fail(f"{entry.path}.evidence must hold non-negative integers", ValidationError)
+    observations = []
+    for obs in entry.records("ros") if "ros" in entry else []:
+        result = obs.get("result", str)
+        if result not in ROS_RESULTS:
+            raise obs.fail(f"{obs.path}: ros result {result!r} not in {ROS_RESULTS}", ValidationError)
+        observations.append(RosObservation(obs.get("system", str), obs.get("symptom", str), result))
+    tags = entry.records("tags") if "tags" in entry else []
+    return NoteEntry(
+        subsection=subsection,
+        text=entry.get("text", str) if "text" in entry else "",
+        tags=[TagPair(key=tag.get("key", str), value=tag.get("value", str)) for tag in tags],
+        evidence=evidence,
+        ros=observations,
+    )
 
 
 def note_to_record(note: SoapNote) -> dict:
@@ -263,11 +220,11 @@ def note_to_record(note: SoapNote) -> dict:
 def load_notes(path: str | Path, warnings: FieldWarnings | None = None) -> list[SoapNote]:
     notes = []
     seen: set[str] = set()
-    for line_number, record in iter_jsonl(path):
-        note = parse_note(record, line_number, warnings)
+    for row in read_jsonl(path):
+        note = parse_note(row, warnings=warnings)
         if note.transcript_id in seen:
-            raise ValidationError(
-                f"line {line_number}: duplicate note for transcript {note.transcript_id!r}"
+            raise row.fail(
+                f"duplicate note for transcript {note.transcript_id!r}", ValidationError
             )
         seen.add(note.transcript_id)
         notes.append(note)
@@ -533,14 +490,32 @@ def noteworthy_targets(
 # lines are per-example rows listing the positive label names.
 
 
+def space_to_record(space: LabelSpace) -> dict:
+    return {
+        "task": space.task,
+        "labels": list(space.labels),
+        "train_prevalence": space.train_prevalence.tolist(),
+    }
+
+
+def space_from_record(fields: Fields) -> LabelSpace:
+    """The inverse of :func:`space_to_record`; prevalences default to zero."""
+    labels = fields.strings("labels")
+    return LabelSpace(
+        task=fields.get("task", str),
+        labels=tuple(labels),
+        train_prevalence=(
+            fields.array("train_prevalence", (len(labels),))
+            if "train_prevalence" in fields
+            else np.zeros(len(labels))
+        ),
+    )
+
+
 def save_label_matrix(
     path: str | Path, matrix: LabelMatrix, merge_map: Mapping[str, str] | None = None
 ) -> None:
-    header: dict = {
-        "task": matrix.space.task,
-        "labels": list(matrix.space.labels),
-        "train_prevalence": [float(p) for p in matrix.space.train_prevalence],
-    }
+    header = space_to_record(matrix.space)
     if merge_map is not None:
         header["merge_map"] = dict(sorted(merge_map.items()))
     rows: list[dict] = [
@@ -551,37 +526,28 @@ def save_label_matrix(
 
 
 def load_label_matrix(path: str | Path) -> tuple[LabelMatrix, dict[str, str] | None]:
-    lines = list(iter_jsonl(path))
-    if not lines:
+    rows = list(read_jsonl(path))
+    if not rows:
         raise ParseError(f"label file {path} is empty")
-    line_number, header = lines[0]
-    if not isinstance(header, dict) or "labels" not in header or "task" not in header:
-        raise ParseError("label file must start with a space header", line_number)
-    space = LabelSpace(
-        task=header["task"],
-        labels=tuple(header["labels"]),
-        train_prevalence=np.asarray(
-            header.get("train_prevalence", [0.0] * len(header["labels"])), dtype=float
-        ),
-    )
-    merge_map = header.get("merge_map")
+    header = rows[0]
+    space = space_from_record(header)
+    merge_map = header.get("merge_map", dict) if "merge_map" in header else None
+    if merge_map is not None and not all(isinstance(v, str) for v in merge_map.values()):
+        raise header.fail("merge_map values must be strings")
     ids: list[str] = []
     sets: list[set[str]] = []
     seen: set[str] = set()
-    for line_number, row in lines[1:]:
-        if not isinstance(row, dict) or "id" not in row or "labels" not in row:
-            raise ParseError("label row needs 'id' and 'labels'", line_number)
-        unknown = set(row["labels"]) - set(space.labels)
+    for row in rows[1:]:
+        example_id = row.get("id", str)
+        positives = set(row.strings("labels"))
+        unknown = positives - set(space.labels)
         if unknown:
-            raise ValidationError(
-                f"line {line_number}: labels {sorted(unknown)} not in the space header"
-            )
-        example_id = str(row["id"])
+            raise row.fail(f"labels {sorted(unknown)} not in the space header", ValidationError)
         if example_id in seen:
-            raise ParseError(f"duplicate id {example_id!r}", line_number)
+            raise row.fail(f"duplicate id {example_id!r}")
         seen.add(example_id)
         ids.append(example_id)
-        sets.append(set(row["labels"]))
+        sets.append(positives)
     matrix = LabelMatrix(
         space=space, example_ids=ids, values=_membership_matrix(sets, space.labels)
     )

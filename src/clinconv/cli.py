@@ -56,9 +56,10 @@ from .filtering import (
     threshold_sweep,
     train_filter,
 )
-from .jsonio import FieldWarnings, atomic_write_text, json_loads, sha256_file, write_jsonl
+from .jsonio import FieldWarnings, Fields, atomic_write_text, read_json, sha256_file, write_jsonl
 from .metrics import METRIC_NAMES, evaluate_matrix, markdown_table
 from .pipeline import (
+    CONFIG_KINDS,
     PipelineConfig,
     expected_input_agnostic_row,
     input_agnostic_row,
@@ -90,40 +91,34 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_manifest(
-    primary: Path,
-    command: str,
-    argv: list[str],
-    inputs: list[str | Path],
-    outputs: list[Path],
+    args,
+    inputs: list[str | Path | None],
+    outputs: list[Path] | None = None,
     seed: int | None = None,
     extra: dict | None = None,
-) -> Path:
-    manifest_path = (
-        primary / "manifest.json" if primary.is_dir() else Path(f"{primary}.manifest.json")
-    )
+) -> None:
+    """Record a command's run next to ``args.out``, or inside ``args.out_dir``
+    as ``manifest.json``. A None input is an optional file not given."""
+    if "out_dir" in vars(args):
+        manifest_path = Path(args.out_dir) / "manifest.json"
+    else:
+        manifest_path, outputs = Path(f"{args.out}.manifest.json"), [Path(args.out)]
     record = {
-        "command": command,
-        "argv": argv,
+        "command": args.command,
+        "argv": args.argv,
         "version": __version__,
         "seed": seed,
-        "inputs": {str(p): sha256_file(p) for p in inputs},
+        "inputs": {str(p): sha256_file(p) for p in inputs if p},
         "outputs": [str(p) for p in outputs],
     }
     if extra:
         record["extra"] = extra
     atomic_write_text(manifest_path, json.dumps(record, indent=2) + "\n")
-    return manifest_path
 
 
-def _read_config(path: str | None) -> dict:
+def _read_config(path: str | None, error: type) -> Fields:
     path = path or os.environ.get(CONFIG_ENV_VAR)
-    if not path:
-        return {}
-    with open(path, "r", encoding="utf-8") as handle:
-        record = json_loads(handle.read())
-    if not isinstance(record, dict):
-        raise ParseError(f"config file {path} must hold a JSON object")
-    return record
+    return read_json(path, error) if path else Fields({}, "config", error)
 
 
 def _ordered_pairs(transcripts_path: str, notes_path: str):
@@ -172,12 +167,11 @@ def _print_warnings(warnings: FieldWarnings) -> None:
 
 
 def cmd_synth(args) -> None:
-    record = _read_config(args.config)
-    if args.scale == "desk":
-        record = {**GenConfig.desk().to_record(), **record}
-    if args.n is not None:
-        record["n_examples"] = args.n
-    cfg = GenConfig.from_record(record)
+    config = _read_config(args.config, ParseError)
+    defaults = GenConfig.desk().to_record() if args.scale == "desk" else {}
+    overrides = {} if args.n is None else {"n_examples": args.n}
+    record = {**defaults, **config.record, **overrides}
+    cfg = GenConfig.from_record(Fields(record, config.source))
     corpus = generate(cfg, seed=args.seed)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -196,9 +190,7 @@ def cmd_synth(args) -> None:
         json.dumps({"config": cfg.to_record(), "seed": args.seed, "stats": stats}, indent=2)
         + "\n",
     )
-    _write_manifest(
-        out, "synth", args.argv, [], list(outputs.values()), seed=args.seed, extra=stats
-    )
+    _write_manifest(args, [], list(outputs.values()), seed=args.seed, extra=stats)
     print(
         f"generated {len(corpus)} examples "
         f"(mean {stats['mean_utterances']} utterances, "
@@ -212,9 +204,7 @@ def cmd_ingest(args) -> None:
     notes = None
     if args.notes:
         notes = load_notes(args.notes, warnings)
-        by_id = {n.transcript_id: n for n in notes}
-        ordered = [by_id[t.id] for t in transcripts if t.id in by_id]
-        pair_corpus(transcripts, ordered)
+        pair_corpus(transcripts, notes)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     outputs = [out / "transcripts.jsonl"]
@@ -222,8 +212,7 @@ def cmd_ingest(args) -> None:
     if notes is not None:
         outputs.append(out / "notes.jsonl")
         save_notes(outputs[-1], notes)
-    inputs = [args.transcripts] + ([args.notes] if args.notes else [])
-    _write_manifest(out, "ingest", args.argv, inputs, outputs)
+    _write_manifest(args, [args.transcripts, args.notes], outputs)
     _print_warnings(warnings)
     n_notes = len(notes) if notes is not None else 0
     print(f"ingested {len(transcripts)} transcripts, {n_notes} notes -> {out}")
@@ -239,9 +228,7 @@ def cmd_derive_labels(args) -> None:
     else:
         derivation = derive_ros_labels(pairs, min_rate=args.min_rate)
         save_label_matrix(args.out, derivation.matrix)
-    _write_manifest(
-        Path(args.out), "derive-labels", args.argv, [args.transcripts, args.notes], [Path(args.out)]
-    )
+    _write_manifest(args, [args.transcripts, args.notes])
     _print_warnings(warnings)
     space = derivation.space
     print(f"{args.task}: {len(space.labels)} labels over {len(pairs)} examples")
@@ -252,8 +239,7 @@ def cmd_derive_labels(args) -> None:
 def cmd_build_lexicon(args) -> None:
     lexicon, _ = _load_lexicon(args.concepts, args.task_map)
     save_concepts_file(args.out, lexicon.concepts)
-    inputs = [args.concepts] + ([args.task_map] if args.task_map else [])
-    _write_manifest(Path(args.out), "build-lexicon", args.argv, inputs, [Path(args.out)])
+    _write_manifest(args, [args.concepts, args.task_map])
     n_patterns = len(lexicon.patterns)
     print(f"compiled {len(lexicon)} concepts, {n_patterns} patterns -> {args.out}")
 
@@ -272,8 +258,7 @@ def cmd_tag(args) -> None:
             ]
             rows.append({"id": transcript.id, "hits": hits})
     write_jsonl(args.out, rows)
-    inputs = [args.transcripts, args.lexicon] + ([args.task_map] if args.task_map else [])
-    _write_manifest(Path(args.out), "tag", args.argv, inputs, [Path(args.out)])
+    _write_manifest(args, [args.transcripts, args.lexicon, args.task_map])
     key = "indices" if args.indices_only else "hits"
     mean_hits = float(np.mean([len(r[key]) for r in rows])) if rows else 0.0
     print(f"tagged {len(rows)} transcripts (mean {mean_hits:.2f} {key} each) -> {args.out}")
@@ -307,8 +292,7 @@ def cmd_train_filter(args) -> None:
         include_speaker=args.include_speaker,
     )
     atomic_write_text(args.out, json.dumps(filter_to_record(fm), indent=2) + "\n")
-    inputs = [args.transcripts, args.notes] + ([args.labels] if args.labels else [])
-    _write_manifest(Path(args.out), "train-filter", args.argv, inputs, [Path(args.out)])
+    _write_manifest(args, [args.transcripts, args.notes, args.labels])
     _print_warnings(warnings)
     status = "converged" if fm.model.converged else "NOT converged"
     print(
@@ -348,7 +332,7 @@ def cmd_filter(args) -> None:
             if not args.lexicon:
                 raise ConfigError(f"strategy {args.strategy!r} needs --lexicon")
             lexicon, task_map = _load_lexicon(args.lexicon, args.task_map)
-            inputs += [path for path in (args.lexicon, args.task_map) if path]
+            inputs += [args.lexicon, args.task_map]
         rows = [
             (
                 t.id,
@@ -357,7 +341,7 @@ def cmd_filter(args) -> None:
             for t in transcripts
         ]
     save_indices(args.out, rows)
-    _write_manifest(Path(args.out), "filter", args.argv, inputs, [Path(args.out)])
+    _write_manifest(args, inputs)
     mean_selected = float(np.mean([len(idx) for _, idx in rows])) if rows else 0.0
     print(
         f"strategy {args.strategy}: mean {mean_selected:.2f} utterances selected "
@@ -365,40 +349,19 @@ def cmd_filter(args) -> None:
     )
 
 
-_TRAIN_CONFIG_FLAGS = (
-    "backend",
-    "strategy",
-    "reg_c",
-    "min_df",
-    "threshold",
-    "encoder_dim",
-    "encoder_seed",
-    "chunk_size",
-    "token_cap",
-)
-
-
 def cmd_train(args) -> None:
     matrix, _merge = load_label_matrix(args.labels)
     transcripts = _transcripts_in_order(args.transcripts, list(matrix.example_ids))
-    record = _read_config(args.config)
+    record = _read_config(args.config, ConfigError).typed(CONFIG_KINDS, required=False)
     record["task"] = matrix.space.task
-    for name in _TRAIN_CONFIG_FLAGS:
-        value = getattr(args, name)
-        if value is not None:
-            record[name] = value
+    for name in CONFIG_KINDS:  # each key but the task has a flag, which wins
+        if getattr(args, name, None) is not None:
+            record[name] = getattr(args, name)
     config = PipelineConfig(**record)
 
-    inputs = [args.transcripts, args.labels]
-    fm = override = None
-    if args.filter:
-        fm = load_filter(args.filter)
-        inputs.append(args.filter)
+    fm = load_filter(args.filter) if args.filter else None
     lexicon, task_map = _load_lexicon(args.lexicon, args.task_map)
-    inputs += [path for path in (args.lexicon, args.task_map) if path]
-    if args.indices:
-        override = load_indices(args.indices)
-        inputs.append(args.indices)
+    override = load_indices(args.indices) if args.indices else None
     pipeline = train_pipeline(
         config,
         transcripts,
@@ -409,7 +372,8 @@ def cmd_train(args) -> None:
         indices_override=override,
     )
     save_pipeline(args.out, pipeline)
-    _write_manifest(Path(args.out), "train", args.argv, inputs, [Path(args.out)])
+    inputs = [args.transcripts, args.labels, args.filter, args.lexicon, args.task_map]
+    _write_manifest(args, [*inputs, args.indices])
     heads = pipeline.ovr.models
     n_converged = sum(1 for m in heads if getattr(m, "converged", True))
     print(
@@ -425,8 +389,7 @@ def cmd_predict(args) -> None:
     override = load_indices(args.indices) if args.indices else None
     scores = run_pipeline(pipeline, transcripts, indices_override=override)
     save_scores(args.out, scores)
-    inputs = [args.pipeline, args.transcripts] + ([args.indices] if args.indices else [])
-    _write_manifest(Path(args.out), "predict", args.argv, inputs, [Path(args.out)])
+    _write_manifest(args, [args.pipeline, args.transcripts, args.indices])
     print(
         f"scored {scores.scores.shape[0]} transcripts x "
         f"{scores.scores.shape[1]} labels -> {args.out}"
@@ -457,9 +420,7 @@ def cmd_evaluate(args) -> None:
     )
     if args.out:
         atomic_write_text(args.out, report.to_json() + "\n")
-        _write_manifest(
-            Path(args.out), "evaluate", args.argv, [args.scores, args.labels], [Path(args.out)]
-        )
+        _write_manifest(args, [args.scores, args.labels])
     print(report.to_markdown() if args.markdown else json.dumps(report.aggregate, indent=2))
 
 
@@ -498,7 +459,7 @@ def cmd_baseline(args) -> None:
     if args.out:
         record = {"task": args.task, "n_examples": n, "source": source, "rows": rows}
         atomic_write_text(args.out, json.dumps(record, indent=2) + "\n")
-        _write_manifest(Path(args.out), "baseline", args.argv, inputs, [Path(args.out)])
+        _write_manifest(args, inputs)
     print(f"task: {args.task} | examples: {n} | prevalence source: {source}")
     print(table)
 
@@ -559,14 +520,8 @@ def cmd_sweep(args) -> None:
         "points": points,
     }
     atomic_write_text(args.out, json.dumps(record, indent=2) + "\n")
-    inputs = [
-        args.train_transcripts,
-        args.train_labels,
-        args.test_transcripts,
-        args.test_labels,
-        args.filter,
-    ]
-    _write_manifest(Path(args.out), "sweep", args.argv, inputs, [Path(args.out)])
+    inputs = [args.train_transcripts, args.train_labels, args.test_transcripts, args.test_labels]
+    _write_manifest(args, [*inputs, args.filter])
     print(f"best {args.metric} at threshold {best['threshold']:g} -> {args.out}")
 
 

@@ -28,9 +28,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import LexiconError, ParseError, ValidationError
+from .errors import LexiconError, ValidationError
 from .features import tokenize
-from .jsonio import atomic_write_text, json_loads
+from .jsonio import Fields, as_fields, atomic_write_text, read_json
 from .transcripts import Transcript
 
 
@@ -161,33 +161,26 @@ class TaskMap:
         return cui in self.labels
 
 
-def parse_task_map(record: dict) -> TaskMap:
-    if not isinstance(record, dict) or "task" not in record or "map" not in record:
-        raise ParseError("task map needs 'task' and 'map' fields")
-    task = record["task"]
-    labels: dict[str, str] = {}
-    symptoms: dict[str, str] = {}
-    for item in record["map"]:
-        cui = item.get("cui")
-        if not cui:
-            raise ParseError("task map entry missing 'cui'")
-        if cui in labels:
-            raise ValidationError(f"task map lists {cui} twice")
-        if task == "diagnosis":
-            if "label" not in item:
-                raise ParseError(f"diagnosis map entry {cui} missing 'label'")
-            labels[cui] = item["label"]
+def parse_task_map(record: dict | Fields) -> TaskMap:
+    fields = as_fields(record, "task map")
+    task_map = TaskMap(task=fields.get("task", str), labels={})
+    entries = fields.records("map")
+    if not entries:
+        raise fields.fail("task map routes no concepts")
+    for entry in entries:
+        cui = entry.get("cui", str)
+        if cui in task_map:
+            raise entry.fail(f"task map lists {cui} twice", ValidationError)
+        if task_map.task == "diagnosis":
+            task_map.labels[cui] = entry.get("label", str)
         else:
-            if "system" not in item or "symptom" not in item:
-                raise ParseError(f"ros map entry {cui} missing 'system' or 'symptom'")
-            labels[cui] = item["system"]
-            symptoms[cui] = item["symptom"]
-    return TaskMap(task=task, labels=labels, symptoms=symptoms)
+            task_map.labels[cui] = entry.get("system", str)
+            task_map.symptoms[cui] = entry.get("symptom", str)
+    return task_map
 
 
 def load_task_map(path: str | Path) -> TaskMap:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_task_map(json_loads(handle.read()))
+    return parse_task_map(read_json(path))
 
 
 def task_map_to_record(task_map: TaskMap) -> dict:
@@ -206,35 +199,33 @@ def task_map_to_record(task_map: TaskMap) -> dict:
     return {"task": task_map.task, "map": items}
 
 
-def parse_concepts(record: dict) -> list[Concept]:
-    if not isinstance(record, dict) or "concepts" not in record:
-        raise ParseError("lexicon record needs a 'concepts' field")
-    concepts = []
-    for item in record["concepts"]:
-        if "cui" not in item or "canonical" not in item:
-            raise ParseError("lexicon concept needs 'cui' and 'canonical'")
-        concepts.append(
-            Concept(
-                cui=str(item["cui"]),
-                canonical=str(item["canonical"]),
-                synonyms=[str(s) for s in item.get("synonyms", [])],
-            )
-        )
+def concept_to_record(concept: Concept) -> dict:
+    return {"cui": concept.cui, "canonical": concept.canonical, "synonyms": list(concept.synonyms)}
+
+
+def concept_from_record(fields: Fields) -> Concept:
+    return Concept(
+        cui=fields.get("cui", str),
+        canonical=fields.get("canonical", str),
+        synonyms=list(fields.strings("synonyms")),
+    )
+
+
+def parse_concepts(record: dict | Fields, key: str = "concepts") -> list[Concept]:
+    """The concept records listed under ``key``; a lexicon needs at least one."""
+    fields = as_fields(record, "lexicon")
+    concepts = [concept_from_record(item) for item in fields.records(key)]
+    if not concepts:
+        raise fields.fail(f"{key!r} lists no concepts")
     return concepts
 
 
 def load_concepts_file(path: str | Path) -> list[Concept]:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_concepts(json_loads(handle.read()))
+    return parse_concepts(read_json(path))
 
 
 def save_concepts_file(path: str | Path, concepts: Sequence[Concept]) -> None:
-    record = {
-        "concepts": [
-            {"cui": c.cui, "canonical": c.canonical, "synonyms": list(c.synonyms)}
-            for c in concepts
-        ]
-    }
+    record = {"concepts": [concept_to_record(c) for c in concepts]}
     atomic_write_text(path, json.dumps(record, indent=2, ensure_ascii=False) + "\n")
 
 

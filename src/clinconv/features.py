@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import FitError, ValidationError
-from .jsonio import sha256_text
+from .jsonio import Fields, sha256_text
 
 _TOKEN = re.compile(r"[0-9a-z]+")
 
@@ -158,16 +158,7 @@ def tfidf_transform(vocab: Vocabulary, docs: Sequence[Doc]) -> sp.csr_matrix:
 
 
 def vocabulary_hash(vocab: Vocabulary) -> str:
-    payload = json.dumps(
-        {
-            "terms": vocab.terms,
-            "df": vocab.df.tolist(),
-            "n_docs": vocab.n_docs,
-            "min_df": vocab.min_df,
-        },
-        sort_keys=True,
-    )
-    return sha256_text(payload)
+    return sha256_text(json.dumps(vocabulary_to_record(vocab), sort_keys=True))
 
 
 def vocabulary_to_record(vocab: Vocabulary) -> dict:
@@ -179,10 +170,11 @@ def vocabulary_to_record(vocab: Vocabulary) -> dict:
     }
 
 
-def vocabulary_from_record(record: dict) -> Vocabulary:
+def vocabulary_from_record(fields: Fields) -> Vocabulary:
+    terms = fields.strings("terms")
     return Vocabulary(
-        terms=list(record["terms"]),
-        df=np.asarray(record["df"], dtype=np.int64),
-        n_docs=int(record["n_docs"]),
-        min_df=int(record["min_df"]),
+        terms=list(terms),
+        df=fields.array("df", (len(terms),), int),
+        n_docs=fields.get("n_docs", int),
+        min_df=fields.get("min_df", int),
     )

@@ -34,8 +34,8 @@ from pathlib import Path
 
 from .annotations import SoapNote, noteworthy_targets
 from .concepts import ConceptLexicon, TaskMap, umls_noteworthy
-from .errors import ConfigError, ParseError, TrainingError
-from .jsonio import iter_jsonl, json_loads, write_jsonl
+from .errors import ConfigError, TrainingError
+from .jsonio import Fields, as_fields, read_json, read_jsonl, write_jsonl
 from .features import (
     Vocabulary,
     fit_vocabulary,
@@ -44,7 +44,13 @@ from .features import (
     vocabulary_from_record,
     vocabulary_to_record,
 )
-from .linear import LogisticModel, predict_proba_matrix, train_logistic
+from .linear import (
+    LogisticModel,
+    logistic_from_record,
+    logistic_to_record,
+    predict_proba_matrix,
+    train_logistic,
+)
 from .transcripts import Transcript
 
 SCOPES = ("all", "diagnosis", "ros")
@@ -89,24 +95,13 @@ class FilterStrategy:
 
 def parse_strategy(text: str) -> FilterStrategy:
     text = text.strip()
-    if text == "none":
-        return FilterStrategy(kind="none")
-    if text == "umls":
-        return FilterStrategy(kind="umls")
-    match = _PRED.match(text)
-    if match:
-        return FilterStrategy(
-            kind="predicted",
-            scope=match["scope"],
-            threshold=float(match["threshold"]) if match["threshold"] else None,
-        )
-    match = _UNION.match(text)
-    if match:
-        return FilterStrategy(
-            kind="union",
-            scope=match["scope"],
-            threshold=float(match["threshold"]) if match["threshold"] else None,
-        )
+    if text in ("none", "umls"):
+        return FilterStrategy(kind=text)
+    for kind, pattern in (("predicted", _PRED), ("union", _UNION)):
+        match = pattern.match(text)
+        if match:
+            threshold = float(match["threshold"]) if match["threshold"] else None
+            return FilterStrategy(kind=kind, scope=match["scope"], threshold=threshold)
     match = _F2K.match(text)
     if match:
         scope = match["scope"]
@@ -116,17 +111,13 @@ def parse_strategy(text: str) -> FilterStrategy:
 
 
 def format_strategy(strategy: FilterStrategy) -> str:
-    if strategy.kind == "none":
-        return "none"
-    if strategy.kind == "umls":
-        return "umls"
-    if strategy.kind == "predicted":
-        suffix = f"@{strategy.threshold:g}" if strategy.threshold is not None else ""
-        return f"pred:{strategy.scope}{suffix}"
-    if strategy.kind == "union":
-        suffix = f"@{strategy.threshold:g}" if strategy.threshold is not None else ""
-        return f"union:umls+pred:{strategy.scope}{suffix}"
-    return f"f2k:umls+pred:{strategy.scope}@K={strategy.k}"
+    if strategy.kind in ("none", "umls"):
+        return strategy.kind
+    if strategy.kind == "fill_to_k":
+        return f"f2k:umls+pred:{strategy.scope}@K={strategy.k}"
+    prefix = "pred:" if strategy.kind == "predicted" else "union:umls+pred:"
+    suffix = f"@{strategy.threshold:g}" if strategy.threshold is not None else ""
+    return f"{prefix}{strategy.scope}{suffix}"
 
 
 # ---------------------------------------------------------------------------
@@ -205,38 +196,24 @@ def filter_to_record(fm: FilterModel) -> dict:
         "threshold": fm.threshold,
         "include_speaker": fm.include_speaker,
         "vocab": vocabulary_to_record(fm.vocab),
-        "weights": fm.model.weights.tolist(),
-        "bias": fm.model.bias,
-        "reg_c": fm.model.reg_c,
-        "converged": fm.model.converged,
+        **logistic_to_record(fm.model),
     }
 
 
-def filter_from_record(record: dict) -> FilterModel:
-    vocab = vocabulary_from_record(record["vocab"])
-    model = LogisticModel(
-        weights=np.asarray(record["weights"], dtype=float),
-        bias=float(record["bias"]),
-        reg_c=float(record.get("reg_c", 1.0)),
-        converged=bool(record.get("converged", True)),
-    )
-    if model.weights.size != len(vocab):
-        raise ConfigError(
-            f"filter weights ({model.weights.size}) do not match vocabulary "
-            f"({len(vocab)} terms)"
-        )
+def filter_from_record(record: dict | Fields) -> FilterModel:
+    fields = as_fields(record, "filter", ConfigError)
+    vocab = vocabulary_from_record(fields.section("vocab"))
     return FilterModel(
-        scope=record["scope"],
+        scope=fields.get("scope", str),
         vocab=vocab,
-        model=model,
-        threshold=float(record["threshold"]),
-        include_speaker=bool(record.get("include_speaker", False)),
+        model=logistic_from_record(fields, width=len(vocab)),
+        threshold=float(fields.get("threshold", float)),
+        include_speaker=fields.get("include_speaker", bool),
     )
 
 
 def load_filter(path: str | Path) -> FilterModel:
-    with open(path, "r", encoding="utf-8") as handle:
-        return filter_from_record(json_loads(handle.read()))
+    return filter_from_record(read_json(path, ConfigError))
 
 
 # ---------------------------------------------------------------------------
@@ -323,12 +300,11 @@ def save_indices(path: str | Path, rows: Sequence[tuple[str, Sequence[int]]]) ->
 
 def load_indices(path: str | Path) -> dict[str, list[int]]:
     selections: dict[str, list[int]] = {}
-    for line_number, record in iter_jsonl(path):
-        if not isinstance(record, dict) or "id" not in record or "indices" not in record:
-            raise ParseError("indices row needs 'id' and 'indices'", line_number)
-        if record["id"] in selections:
-            raise ParseError(f"duplicate transcript id {record['id']!r}", line_number)
-        selections[record["id"]] = [int(i) for i in record["indices"]]
+    for row in read_jsonl(path):
+        transcript_id = row.get("id", str)
+        if transcript_id in selections:
+            raise row.fail(f"duplicate transcript id {transcript_id!r}")
+        selections[transcript_id] = row.array("indices", (None,), int).tolist()
     return selections
 
 

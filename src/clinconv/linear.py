@@ -22,6 +22,7 @@ from scipy.optimize import minimize
 from scipy.special import expit, logsumexp
 
 from .errors import TrainingError
+from .jsonio import Fields
 
 BIAS_CLIP = 15.0
 
@@ -148,6 +149,25 @@ def train_logistic(
         reg_c=reg_c,
         converged=bool(grad_norm <= tol),
         n_iter=int(result.nit),
+    )
+
+
+def logistic_to_record(model: LogisticModel) -> dict:
+    return {
+        "weights": model.weights.tolist(),
+        "bias": model.bias,
+        "reg_c": model.reg_c,
+        "converged": model.converged,
+    }
+
+
+def logistic_from_record(fields: Fields, width: int | None = None) -> LogisticModel:
+    """The inverse of :func:`logistic_to_record`; ``width`` checks the weights."""
+    return LogisticModel(
+        weights=fields.array("weights", (width,)),
+        bias=float(fields.get("bias", float)),
+        reg_c=float(fields.get("reg_c", float)),
+        converged=fields.get("converged", bool),
     )
 
 

@@ -15,17 +15,18 @@ from __future__ import annotations
 import hashlib
 import json
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .annotations import LabelMatrix, LabelSpace
+from .annotations import LabelMatrix, LabelSpace, space_from_record, space_to_record
 from .concepts import (
-    Concept,
     ConceptLexicon,
     TaskMap,
     build_lexicon,
+    concept_to_record,
+    parse_concepts,
     parse_task_map,
     task_map_to_record,
 )
@@ -41,11 +42,13 @@ from .features import (
     vocabulary_to_record,
 )
 from .filtering import FilterModel, FilterStrategy, apply_filter, filter_from_record, filter_to_record, format_strategy, parse_strategy
-from .jsonio import atomic_write_text, iter_jsonl, json_loads, write_jsonl
+from .jsonio import Fields, atomic_write_text, read_json, read_jsonl, write_jsonl
 from .linear import (
     LogisticModel,
     NaiveBayesModel,
     OneVsRestModel,
+    logistic_from_record,
+    logistic_to_record,
     ovr_proba_matrix,
     train_ovr,
 )
@@ -97,21 +100,18 @@ def load_scores(path: str | Path) -> ScoreMatrix:
     rows: list[list[float]] = []
     seen: set[str] = set()
     labels: tuple[str, ...] | None = None
-    for line_number, record in iter_jsonl(path):
-        if not isinstance(record, dict) or "id" not in record or "scores" not in record:
-            raise ParseError("score row needs 'id' and 'scores'", line_number)
+    for row in read_jsonl(path):
+        example_id = row.get("id", str)
+        scores = row.section("scores")
         if labels is None:
-            labels = tuple(record["scores"])
-        elif set(record["scores"]) != set(labels):
-            raise ValidationError(
-                f"line {line_number}: score row labels differ from the first row"
-            )
-        example_id = str(record["id"])
+            labels = tuple(scores.record)
+        elif set(scores.record) != set(labels):
+            raise row.fail("score row labels differ from the first row", ValidationError)
         if example_id in seen:
-            raise ParseError(f"duplicate id {example_id!r}", line_number)
+            raise row.fail(f"duplicate id {example_id!r}")
         seen.add(example_id)
         ids.append(example_id)
-        rows.append([float(record["scores"][label]) for label in labels])
+        rows.append([float(scores.get(label, float)) for label in labels])
     if labels is None:
         raise ParseError(f"score file {path} is empty")
     return ScoreMatrix(example_ids=ids, labels=labels, scores=np.array(rows))
@@ -364,15 +364,27 @@ def run_pipeline(
 # Pipeline serialization (single self-contained JSON artifact)
 
 
+PIPELINE_FORMAT = "clinconv-pipeline-v1"
+
+# The kind of each PipelineConfig field in a config record; the strategy is
+# stored in its string form.
+CONFIG_KINDS = {
+    "task": str,
+    "backend": str,
+    "strategy": str,
+    "reg_c": float,
+    "min_df": int,
+    "threshold": float,
+    "encoder_dim": int,
+    "encoder_seed": int,
+    "chunk_size": int,
+    "token_cap": int,
+}
+
+
 def _model_record(model) -> dict:
     if isinstance(model, LogisticModel):
-        return {
-            "type": "logistic",
-            "weights": model.weights.tolist(),
-            "bias": model.bias,
-            "reg_c": model.reg_c,
-            "converged": model.converged,
-        }
+        return {"type": "logistic", **logistic_to_record(model)}
     if isinstance(model, NaiveBayesModel):
         return {
             "type": "naive_bayes",
@@ -383,44 +395,28 @@ def _model_record(model) -> dict:
     raise ConfigError(f"cannot serialize model of type {type(model).__name__}")
 
 
-def _model_from_record(record: dict):
-    if record["type"] == "logistic":
-        return LogisticModel(
-            weights=np.asarray(record["weights"], dtype=float),
-            bias=float(record["bias"]),
-            reg_c=float(record.get("reg_c", 1.0)),
-            converged=bool(record.get("converged", True)),
-        )
-    if record["type"] == "naive_bayes":
+def _model_from_record(fields: Fields):
+    model_type = fields.get("type", str)
+    if model_type == "logistic":
+        return logistic_from_record(fields)
+    if model_type == "naive_bayes":
         return NaiveBayesModel(
-            log_prior=np.asarray(record["log_prior"], dtype=float),
-            log_likelihood=np.asarray(record["log_likelihood"], dtype=float),
-            constant_p=record.get("constant_p"),
+            log_prior=fields.array("log_prior", (2,)),
+            log_likelihood=fields.array("log_likelihood", (2, None)),
+            constant_p=fields.get("constant_p", float, null=True),
         )
-    raise ConfigError(f"unknown model type {record.get('type')!r}")
+    raise fields.fail(f"unknown model type {model_type!r}")
 
 
 def save_pipeline(path: str | Path, pipeline: TrainedPipeline) -> None:
     config = pipeline.config
     record: dict = {
-        "format": "clinconv-pipeline-v1",
+        "format": PIPELINE_FORMAT,
         "config": {
-            "task": config.task,
-            "backend": config.backend,
+            **{name: getattr(config, name) for name in CONFIG_KINDS},
             "strategy": format_strategy(config.strategy),
-            "reg_c": config.reg_c,
-            "min_df": config.min_df,
-            "threshold": config.threshold,
-            "encoder_dim": config.encoder_dim,
-            "encoder_seed": config.encoder_seed,
-            "chunk_size": config.chunk_size,
-            "token_cap": config.token_cap,
         },
-        "space": {
-            "task": pipeline.space.task,
-            "labels": list(pipeline.space.labels),
-            "train_prevalence": pipeline.space.train_prevalence.tolist(),
-        },
+        "space": space_to_record(pipeline.space),
         "ovr": {
             "backend": pipeline.ovr.backend,
             "reg_c": pipeline.ovr.reg_c,
@@ -433,10 +429,7 @@ def save_pipeline(path: str | Path, pipeline: TrainedPipeline) -> None:
     if pipeline.filter_model is not None:
         record["filter"] = filter_to_record(pipeline.filter_model)
     if pipeline.lexicon is not None:
-        record["lexicon"] = [
-            {"cui": c.cui, "canonical": c.canonical, "synonyms": list(c.synonyms)}
-            for c in pipeline.lexicon.concepts
-        ]
+        record["lexicon"] = [concept_to_record(c) for c in pipeline.lexicon.concepts]
     if pipeline.task_map is not None:
         record["task_map"] = task_map_to_record(pipeline.task_map)
     atomic_write_text(path, json.dumps(record) + "\n")
@@ -445,7 +438,9 @@ def save_pipeline(path: str | Path, pipeline: TrainedPipeline) -> None:
 def _check_heads(
     path: str | Path, config: PipelineConfig, ovr: OneVsRestModel, vocab: Vocabulary | None
 ) -> None:
-    """Every head must fit the feature width the pipeline will produce."""
+    """One head per label, each fitting the feature width the pipeline will produce."""
+    if len(ovr.models) != len(ovr.labels):
+        raise ConfigError(f"{path}: {len(ovr.models)} heads for {len(ovr.labels)} labels")
     if config.backend == "encoder":
         width, against = config.encoder_dim, f"encoder_dim {config.encoder_dim}"
     elif vocab is None:
@@ -457,73 +452,50 @@ def _check_heads(
         if not isinstance(model, model_type):
             raise ConfigError(f"{path}: head {label!r} is not a {ovr.backend} model")
         if isinstance(model, LogisticModel):
-            shapes = [("weights", model.weights.shape, (width,))]
+            name, found, expected = "weights", model.weights.shape, (width,)
         else:
-            shapes = [
-                ("log_likelihood", model.log_likelihood.shape, (2, width)),
-                ("log_prior", model.log_prior.shape, (2,)),
-            ]
-        for name, found, expected in shapes:
-            if found != expected:
-                raise ConfigError(
-                    f"{path}: head {label!r} {name} has shape {found}, "
-                    f"expected {expected} for the {against}"
-                )
-
-
-def _section(path: str | Path, record: dict, name: str, required: tuple[str, ...]) -> dict:
-    section = record.get(name)
-    if not isinstance(section, dict):
-        raise ConfigError(f"{path}: pipeline file has no {name!r} section")
-    missing = [key for key in required if key not in section]
-    if missing:
-        raise ConfigError(f"{path}: {name!r} section lacks {missing}")
-    return section
+            name, found, expected = "log_likelihood", model.log_likelihood.shape, (2, width)
+        if found != expected:
+            raise ConfigError(
+                f"{path}: head {label!r} {name} has shape {found}, "
+                f"expected {expected} for the {against}"
+            )
 
 
 def load_pipeline(path: str | Path) -> TrainedPipeline:
-    with open(path, "r", encoding="utf-8") as handle:
-        record = json_loads(handle.read())
-    if not isinstance(record, dict) or record.get("format") != "clinconv-pipeline-v1":
+    fields = read_json(path, ConfigError)
+    if fields.get("format", str) != PIPELINE_FORMAT:
         raise ConfigError(f"{path} is not a pipeline file")
-    config_record = _section(path, record, "config", ("task",))
-    unknown = sorted(set(config_record) - {f.name for f in fields(PipelineConfig)})
-    if unknown:
-        raise ConfigError(f"{path}: unknown config keys {unknown}")
-    config = PipelineConfig(**config_record)
-    space_record = _section(path, record, "space", ("task", "labels", "train_prevalence"))
-    space = LabelSpace(
-        task=space_record["task"],
-        labels=tuple(space_record["labels"]),
-        train_prevalence=np.asarray(space_record["train_prevalence"], dtype=float),
-    )
-    ovr_record = _section(path, record, "ovr", ("backend", "models"))
+    config = PipelineConfig(**fields.section("config").typed(CONFIG_KINDS))
+    space = space_from_record(fields.section("space"))
+    ovr_fields = fields.section("ovr")
     ovr = OneVsRestModel(
         labels=space.labels,
-        backend=ovr_record["backend"],
-        models=[_model_from_record(m) for m in ovr_record["models"]],
-        reg_c=float(ovr_record.get("reg_c", 1.0)),
+        backend=ovr_fields.get("backend", str),
+        models=[_model_from_record(m) for m in ovr_fields.records("models")],
+        reg_c=float(ovr_fields.get("reg_c", float)),
     )
     vocab = None
-    if "vocab" in record:
-        vocab = vocabulary_from_record(record["vocab"])
-        stored = record.get("vocab_hash")
-        if stored and stored != vocabulary_hash(vocab):
-            raise ConfigError(
-                f"{path}: vocabulary hash mismatch; the model file was built "
+    if "vocab" in fields:
+        vocab = vocabulary_from_record(fields.section("vocab"))
+        if fields.get("vocab_hash", str) != vocabulary_hash(vocab):
+            raise fields.fail(
+                "vocabulary hash mismatch; the model file was built "
                 "against a different vocabulary"
             )
     _check_heads(path, config, ovr, vocab)
-    filter_model = filter_from_record(record["filter"]) if "filter" in record else None
-    lexicon = (
-        build_lexicon(
-            Concept(cui=c["cui"], canonical=c["canonical"], synonyms=list(c["synonyms"]))
-            for c in record["lexicon"]
-        )
-        if "lexicon" in record
-        else None
-    )
-    task_map = parse_task_map(record["task_map"]) if "task_map" in record else None
+    # A section the strategy needs is required; otherwise it is read if present.
+    strategy = config.strategy
+    filter_model = lexicon = task_map = None
+    if strategy.needs_model or "filter" in fields:
+        filter_model = filter_from_record(fields.section("filter"))
+    if strategy.needs_lexicon or "lexicon" in fields:
+        concepts = parse_concepts(fields, "lexicon")
+        lexicon = build_lexicon(concepts)
+        if lexicon.concepts != concepts:
+            raise fields.fail("'lexicon' does not hold a compiled lexicon")
+    if "task_map" in fields:
+        task_map = parse_task_map(fields.section("task_map"))
     encoder = (
         HashedTokenEncoder(config.encoder_dim, config.encoder_seed)
         if config.backend == "encoder"

@@ -47,8 +47,8 @@ from .annotations import (
 )
 from .bundled import bundled_lexicon, bundled_task_map, reference_labels
 from .concepts import ConceptLexicon, TaskMap
-from .errors import GenerationError, ParseError
-from .jsonio import iter_jsonl, write_jsonl
+from .errors import GenerationError
+from .jsonio import Fields, as_fields, read_jsonl, write_jsonl
 from .transcripts import Transcript, Utterance
 
 # Speech building blocks. Tokens here must never appear inside any lexicon
@@ -304,14 +304,16 @@ class GenConfig:
         return record
 
     @classmethod
-    def from_record(cls, record: dict) -> "GenConfig":
-        known = {spec.name for spec in cls.__dataclass_fields__.values()}
-        kwargs = {}
-        for key, value in record.items():
-            if key not in known:
-                raise ParseError(f"unknown generator setting {key!r}")
-            kwargs[key] = tuple(value) if isinstance(value, list) else value
-        return cls(**kwargs)
+    def from_record(cls, record: dict | Fields) -> "GenConfig":
+        """Settings from a record; each key is optional, of its default's kind."""
+        config = as_fields(record, "generator config")
+        kinds = {key: type(value) for key, value in cls().to_record().items()}
+        values = config.typed(kinds, required=False)
+        for key, kind in kinds.items():
+            if kind is list and key in values:
+                config.array(key, (None,))
+                values[key] = tuple(values[key])
+        return cls(**values)
 
 
 @dataclass
@@ -656,24 +658,16 @@ def save_truths(path: str | Path, truths: Sequence[ExampleTruth]) -> None:
 
 
 def load_truths(path: str | Path) -> list[ExampleTruth]:
-    truths = []
-    for line_number, record in iter_jsonl(path):
-        try:
-            truths.append(
-                ExampleTruth(
-                    transcript_id=record["id"],
-                    diagnosis=list(record["diagnosis"]),
-                    ros=list(record["ros"]),
-                    noteworthy_all=[int(i) for i in record["noteworthy_all"]],
-                    noteworthy_diagnosis=[int(i) for i in record["noteworthy_diagnosis"]],
-                    noteworthy_ros=[int(i) for i in record["noteworthy_ros"]],
-                    mentioned=[int(i) for i in record["mentioned"]],
-                    distractor=[int(i) for i in record["distractor"]],
-                )
-            )
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"bad truth record: {exc}", line_number) from exc
-    return truths
+    indices = ("noteworthy_all", "noteworthy_diagnosis", "noteworthy_ros", "mentioned", "distractor")
+    return [
+        ExampleTruth(
+            transcript_id=row.get("id", str),
+            diagnosis=row.strings("diagnosis"),
+            ros=row.strings("ros"),
+            **{key: row.array(key, (None,), int).tolist() for key in indices},
+        )
+        for row in read_jsonl(path)
+    ]
 
 
 @dataclass

@@ -240,3 +240,64 @@ def test_predict_rejects_a_malformed_pipeline(workspace, tmp_path, capsys):
                "--out", tmp_path / "scores.jsonl") == 2
     err = capsys.readouterr().err
     assert str(broken) in err and "'ovr'" in err
+
+
+@pytest.mark.parametrize("task", ["diagnosis", "ros"])
+def test_baseline_replay_row_agrees_with_the_closed_form(task, capsys):
+    assert main(["baseline", "--task", task]) == 0
+    rows = {}
+    for line in capsys.readouterr().out.splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if cells[0] in ("replay", "large-n"):
+            rows[cells[0]] = [float(cell) for cell in cells[1:]]
+    assert rows["replay"] == pytest.approx(rows["large-n"], abs=5e-4)
+
+
+def test_ingest_rejects_a_note_for_an_unknown_transcript(workspace, tmp_path, capsys):
+    root, run = workspace
+    notes = tmp_path / "notes.jsonl"
+    stray = {"transcript_id": "nobody",
+             "entries": [{"subsection": "assessment", "evidence": [99999]}]}
+    notes.write_text((root / "corpus" / "notes.jsonl").read_text() + json.dumps(stray) + "\n")
+    assert run("ingest", "--transcripts", root / "corpus" / "transcripts.jsonl",
+               "--notes", notes, "--out-dir", tmp_path / "out") == 2
+    assert "'nobody'" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "notes.jsonl").exists()
+
+
+def test_config_values_of_the_wrong_type_name_file_and_key(workspace, tmp_path, capsys):
+    root, run = workspace
+    synth_config = tmp_path / "gen.json"
+    synth_config.write_text(json.dumps({"n_examples": "x"}))
+    assert run("synth", "--out-dir", tmp_path / "c", "--config", synth_config) == 2
+    assert f"{synth_config}: n_examples must be an integer" in capsys.readouterr().err
+    train_config = tmp_path / "train.json"
+    train_config.write_text(json.dumps({"reg_c": "x"}))
+    assert run("train", "--transcripts", root / "corpus" / "transcripts.jsonl",
+               "--labels", root / "diag.jsonl", "--config", train_config,
+               "--out", tmp_path / "pipe.json") == 2
+    assert f"{train_config}: reg_c must be a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "artifact, edit, key",
+    [
+        ("filter.json", lambda r: r.pop("weights"), "no 'weights' key"),
+        ("pipe.json", lambda r: r["ovr"]["models"][0].pop("type"),
+         "'ovr.models[0]' section lacks ['type']"),
+    ],
+    ids=["filter-weights", "head-type"],
+)
+def test_artifact_without_a_written_key_exits_2(workspace, tmp_path, capsys, artifact, edit, key):
+    root, run = workspace
+    record = json.loads((root / artifact).read_text())
+    edit(record)
+    broken = tmp_path / artifact
+    broken.write_text(json.dumps(record))
+    transcripts = root / "corpus" / "transcripts.jsonl"
+    if artifact == "filter.json":
+        argv = ("filter", "--strategy", "pred:all", "--filter", broken)
+    else:
+        argv = ("predict", "--pipeline", broken)
+    assert run(*argv, "--transcripts", transcripts, "--out", tmp_path / "out.jsonl") == 2
+    assert f"{broken}: {key}" in capsys.readouterr().err

@@ -29,7 +29,12 @@ from clinconv import (
     train_pipeline,
     utterance_probabilities,
 )
-from clinconv.linear import ovr_proba_matrix, predict_proba_matrix
+from clinconv.linear import (
+    LogisticModel,
+    logistic_to_record,
+    ovr_proba_matrix,
+    predict_proba_matrix,
+)
 from clinconv.metrics import METRIC_NAMES
 from clinconv.pipeline import (
     HashedTokenEncoder,
@@ -105,8 +110,24 @@ def test_pipeline_file_format_guard(tmp_path):
         (lambda r: r.pop("ovr"), "no 'ovr' section"),
         (lambda r: r["ovr"].pop("models"), "'ovr' section lacks ['models']"),
         (lambda r: r["space"].pop("labels"), "'space' section lacks ['labels']"),
+        (lambda r: r["config"].update(reg_c="x"), "config.reg_c must be a number"),
+        (lambda r: r["config"].update(min_df=2.5), "config.min_df must be an integer"),
+        (lambda r: r["config"].update(strategy=7), "config.strategy must be a string"),
+        # Without its hash a reordered vocabulary would score silently.
+        (lambda r: (r.pop("vocab_hash"), r["vocab"]["terms"].reverse()), "no 'vocab_hash' key"),
     ],
-    ids=["unknown-config-key", "no-task", "no-config", "no-ovr", "no-models", "no-labels"],
+    ids=[
+        "unknown-config-key",
+        "no-task",
+        "no-config",
+        "no-ovr",
+        "no-models",
+        "no-labels",
+        "reg_c-not-a-number",
+        "min_df-not-an-integer",
+        "strategy-not-a-string",
+        "no-vocab-hash",
+    ],
 )
 def test_malformed_pipeline_artifact_rejected(tmp_path, trained_pipeline, corrupt, message):
     path = tmp_path / "pipe.json"
@@ -164,7 +185,8 @@ def test_naive_bayes_artifact_shapes_checked_at_load(tmp_path, small_corpus):
 
     def logistic_head(record):
         width = len(record["vocab"]["terms"])
-        record["ovr"]["models"][0] = {"type": "logistic", "weights": [0.0] * width, "bias": 0.0}
+        head = logistic_to_record(LogisticModel(weights=np.zeros(width), bias=0.0))
+        record["ovr"]["models"][0] = {"type": "logistic", **head}
 
     def no_vocabulary(record):
         del record["vocab"], record["vocab_hash"]

@@ -5,8 +5,6 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
-import pytest
-
 from clinconv.metrics import METRIC_NAMES
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -46,13 +44,3 @@ def test_compare_strategies_prints_every_strategy(capsys):
     ]
     assert all(len(values) == len(METRIC_NAMES) for values in rows.values())
     assert rows["prior"][METRIC_NAMES.index("macro_auc")] == 0.5
-
-
-@pytest.mark.parametrize("task", ["diagnosis", "ros"])
-def test_replay_baselines_rows_agree_with_the_closed_form(task, capsys):
-    assert load_script("replay_baselines").main(["--task", task]) == 0
-    out = capsys.readouterr().out
-    assert out.count(HEADER) == 1
-    rows = table_rows(out)
-    replay = next(values for name, values in rows.items() if name.startswith("replay"))
-    assert replay == pytest.approx(rows["large-n"], abs=5e-4)
