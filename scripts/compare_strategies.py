@@ -26,22 +26,13 @@ from clinconv import (
     derive_ros_labels,
     evaluate_matrix,
     generate,
-    noteworthy_targets,
+    oracle_indices,
     run_pipeline,
     split_pairs,
     train_filter,
     train_pipeline,
 )
 from clinconv.metrics import METRIC_NAMES, markdown_table
-
-
-def oracle_indices(pairs, scope, labels, merge_map):
-    return {
-        transcript.id: np.flatnonzero(
-            noteworthy_targets(transcript, note, scope, labels, merge_map)
-        ).tolist()
-        for transcript, note in pairs
-    }
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -64,6 +64,7 @@ from .filtering import (
     apply_filter,
     fill_to_k,
     load_indices,
+    oracle_indices,
     parse_strategy,
     save_indices,
     threshold_sweep,

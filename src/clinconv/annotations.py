@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .jsonio import FieldWarnings, Fields, as_fields, read_jsonl, write_jsonl
+from .jsonio import FieldWarnings, Fields, as_fields, build, read_jsonl, write_jsonl
 from .transcripts import Transcript
 
 SUBSECTIONS = (
@@ -501,7 +501,9 @@ def space_to_record(space: LabelSpace) -> dict:
 def space_from_record(fields: Fields) -> LabelSpace:
     """The inverse of :func:`space_to_record`; prevalences default to zero."""
     labels = fields.strings("labels")
-    return LabelSpace(
+    return build(
+        fields.source,
+        LabelSpace,
         task=fields.get("task", str),
         labels=tuple(labels),
         train_prevalence=(

@@ -28,7 +28,6 @@ from .annotations import (
     derive_ros_labels,
     load_label_matrix,
     load_notes,
-    noteworthy_targets,
     pair_corpus,
     save_label_matrix,
     save_notes,
@@ -51,12 +50,13 @@ from .filtering import (
     filter_to_record,
     load_filter,
     load_indices,
+    oracle_indices,
     parse_strategy,
     save_indices,
     threshold_sweep,
     train_filter,
 )
-from .jsonio import FieldWarnings, Fields, atomic_write_text, read_json, sha256_file, write_jsonl
+from .jsonio import FieldWarnings, Fields, atomic_write_text, build, read_json, sha256_file, write_jsonl
 from .metrics import METRIC_NAMES, evaluate_matrix, markdown_table
 from .pipeline import (
     CONFIG_KINDS,
@@ -147,7 +147,9 @@ def _transcripts_in_order(transcripts_path: str, wanted_ids: list[str]):
 
 def _load_lexicon(lexicon_path: str | None, task_map_path: str | None):
     """The compiled lexicon and the task map checked against it; either may be None."""
-    lexicon = build_lexicon(load_concepts_file(lexicon_path)) if lexicon_path else None
+    lexicon = None
+    if lexicon_path:
+        lexicon = build(lexicon_path, build_lexicon, concepts=load_concepts_file(lexicon_path))
     task_map = load_task_map(task_map_path) if task_map_path else None
     if task_map is not None:
         if lexicon is None:
@@ -264,23 +266,23 @@ def cmd_tag(args) -> None:
     print(f"tagged {len(rows)} transcripts (mean {mean_hits:.2f} {key} each) -> {args.out}")
 
 
-def _scope_labels(args):
-    """Label names and merge map for a task-scoped filter, from a label file."""
-    if args.scope == "all":
+def _scope_labels(scope: str, labels_path: str | None):
+    """Label names and merge map for a task scope, from a label file."""
+    if scope == "all":
         return None, None
-    if not args.labels:
-        raise ConfigError(f"scope {args.scope!r} needs --labels for the label space")
-    matrix, merge_map = load_label_matrix(args.labels)
-    if matrix.space.task != args.scope:
+    if not labels_path:
+        raise ConfigError(f"scope {scope!r} needs --labels for the label space")
+    matrix, merge_map = load_label_matrix(labels_path)
+    if matrix.space.task != scope:
         raise ConfigError(
-            f"label file task {matrix.space.task!r} does not match scope {args.scope!r}"
+            f"label file task {matrix.space.task!r} does not match scope {scope!r}"
         )
     return matrix.space.labels, merge_map
 
 
 def cmd_train_filter(args) -> None:
     pairs, warnings = _ordered_pairs(args.transcripts, args.notes)
-    labels, merge_map = _scope_labels(args)
+    labels, merge_map = _scope_labels(args.scope, args.labels)
     fm = train_filter(
         pairs,
         args.scope,
@@ -289,7 +291,6 @@ def cmd_train_filter(args) -> None:
         threshold=args.threshold,
         reg_c=args.reg_c,
         min_df=args.min_df,
-        include_speaker=args.include_speaker,
     )
     atomic_write_text(args.out, json.dumps(filter_to_record(fm), indent=2) + "\n")
     _write_manifest(args, [args.transcripts, args.notes, args.labels])
@@ -310,15 +311,9 @@ def cmd_filter(args) -> None:
         if not args.notes:
             raise ConfigError("oracle strategies need --notes")
         pairs, _ = _ordered_pairs(args.transcripts, args.notes)
-        labels = merge_map = None
-        if scope != "all":
-            labels, merge_map = _scope_labels(argparse.Namespace(scope=scope, labels=args.labels))
-            inputs.append(args.labels)
-        inputs.append(args.notes)
-        rows = [
-            (t.id, np.flatnonzero(noteworthy_targets(t, n, scope, labels, merge_map)).tolist())
-            for t, n in pairs
-        ]
+        labels, merge_map = _scope_labels(scope, args.labels)
+        inputs += [args.labels, args.notes]
+        rows = list(oracle_indices(pairs, scope, labels, merge_map).items())
     else:
         strategy = parse_strategy(args.strategy)
         transcripts = load_transcripts(args.transcripts)
@@ -472,7 +467,10 @@ def cmd_sweep(args) -> None:
     train_transcripts = _transcripts_in_order(args.train_transcripts, list(train_matrix.example_ids))
     test_transcripts = _transcripts_in_order(args.test_transcripts, list(test_matrix.example_ids))
     fm = load_filter(args.filter)
-    grid = sorted({float(g) for g in args.grid.split(",") if g.strip()})
+    try:
+        grid = sorted({float(g) for g in args.grid.split(",") if g.strip()})
+    except ValueError as exc:
+        raise ConfigError(f"--grid {args.grid!r}: {exc}") from None
 
     config = PipelineConfig(
         task=train_matrix.space.task, strategy="none", reg_c=args.reg_c, min_df=args.min_df
@@ -584,7 +582,6 @@ def build_parser() -> _Parser:
                         "(defaults: all 0.4, diagnosis 0.1, ros 0.02)")
     p.add_argument("--reg-c", type=float, default=1.0)
     p.add_argument("--min-df", type=int, default=1)
-    p.add_argument("--include-speaker", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_train_filter)
 
@@ -609,11 +606,7 @@ def build_parser() -> _Parser:
     p.add_argument("--strategy")
     p.add_argument("--reg-c", type=float, dest="reg_c")
     p.add_argument("--min-df", type=int, dest="min_df")
-    p.add_argument("--threshold", type=float)
     p.add_argument("--encoder-dim", type=int, dest="encoder_dim")
-    p.add_argument("--encoder-seed", type=int, dest="encoder_seed")
-    p.add_argument("--chunk-size", type=int, dest="chunk_size")
-    p.add_argument("--token-cap", type=int, dest="token_cap")
     p.add_argument("--filter", help="trained filter JSON")
     p.add_argument("--lexicon")
     p.add_argument("--task-map")

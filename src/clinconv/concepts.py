@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import LexiconError, ValidationError
 from .features import tokenize
-from .jsonio import Fields, as_fields, atomic_write_text, read_json
+from .jsonio import Fields, as_fields, atomic_write_text, build, read_json
 from .transcripts import Transcript
 
 
@@ -163,7 +163,7 @@ class TaskMap:
 
 def parse_task_map(record: dict | Fields) -> TaskMap:
     fields = as_fields(record, "task map")
-    task_map = TaskMap(task=fields.get("task", str), labels={})
+    task_map = build(fields.source, TaskMap, task=fields.get("task", str), labels={})
     entries = fields.records("map")
     if not entries:
         raise fields.fail("task map routes no concepts")

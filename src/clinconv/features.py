@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import FitError, ValidationError
-from .jsonio import Fields, sha256_text
+from .jsonio import Fields, build, sha256_text
 
 _TOKEN = re.compile(r"[0-9a-z]+")
 
@@ -157,24 +157,33 @@ def tfidf_transform(vocab: Vocabulary, docs: Sequence[Doc]) -> sp.csr_matrix:
     return X
 
 
-def vocabulary_hash(vocab: Vocabulary) -> str:
-    return sha256_text(json.dumps(vocabulary_to_record(vocab), sort_keys=True))
-
-
-def vocabulary_to_record(vocab: Vocabulary) -> dict:
-    return {
+def vocabulary_entries(vocab: Vocabulary) -> dict:
+    """The ``vocab`` and ``vocab_hash`` keys of a record that holds ``vocab``."""
+    record = {
         "terms": list(vocab.terms),
         "df": vocab.df.tolist(),
         "n_docs": vocab.n_docs,
         "min_df": vocab.min_df,
     }
+    return {"vocab": record, "vocab_hash": sha256_text(json.dumps(record, sort_keys=True))}
 
 
-def vocabulary_from_record(fields: Fields) -> Vocabulary:
-    terms = fields.strings("terms")
-    return Vocabulary(
+def read_vocabulary(fields: Fields) -> Vocabulary:
+    """The inverse of :func:`vocabulary_entries`. The hash catches a vocabulary
+    whose terms were reordered or swapped, which would otherwise score silently."""
+    vocab_fields = fields.section("vocab")
+    terms = vocab_fields.strings("terms")
+    vocab = build(
+        vocab_fields.source,
+        Vocabulary,
         terms=list(terms),
-        df=fields.array("df", (len(terms),), int),
-        n_docs=fields.get("n_docs", int),
-        min_df=fields.get("min_df", int),
+        df=vocab_fields.array("df", (len(terms),), int),
+        n_docs=vocab_fields.get("n_docs", int),
+        min_df=vocab_fields.get("min_df", int),
     )
+    if fields.get("vocab_hash", str) != vocabulary_entries(vocab)["vocab_hash"]:
+        raise fields.fail(
+            "vocabulary hash mismatch; the model file was built "
+            "against a different vocabulary"
+        )
+    return vocab

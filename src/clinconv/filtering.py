@@ -35,14 +35,14 @@ from pathlib import Path
 from .annotations import SoapNote, noteworthy_targets
 from .concepts import ConceptLexicon, TaskMap, umls_noteworthy
 from .errors import ConfigError, TrainingError
-from .jsonio import Fields, as_fields, read_json, read_jsonl, write_jsonl
+from .jsonio import Fields, as_fields, build, read_json, read_jsonl, write_jsonl
 from .features import (
     Vocabulary,
     fit_vocabulary,
+    read_vocabulary,
     tfidf_transform,
     tokenize,
-    vocabulary_from_record,
-    vocabulary_to_record,
+    vocabulary_entries,
 )
 from .linear import (
     LogisticModel,
@@ -59,8 +59,9 @@ STRATEGY_KINDS = ("none", "umls", "predicted", "union", "fill_to_k")
 DEFAULT_THRESHOLDS = {"all": 0.4, "diagnosis": 0.1, "ros": 0.02}
 DEFAULT_FILL_K = {"all": 50, "diagnosis": 15, "ros": 20}
 
-_PRED = re.compile(r"^pred:(?P<scope>[a-z]+)(?:@(?P<threshold>[0-9.eE+-]+))?$")
-_UNION = re.compile(r"^union:umls\+pred:(?P<scope>[a-z]+)(?:@(?P<threshold>[0-9.eE+-]+))?$")
+_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_PRED = re.compile(rf"^pred:(?P<scope>[a-z]+)(?:@(?P<threshold>{_NUMBER}))?$")
+_UNION = re.compile(rf"^union:umls\+pred:(?P<scope>[a-z]+)(?:@(?P<threshold>{_NUMBER}))?$")
 _F2K = re.compile(r"^f2k:umls\+pred:(?P<scope>[a-z]+)(?:@K=(?P<k>\d+))?$")
 
 
@@ -130,17 +131,16 @@ class FilterModel:
     vocab: Vocabulary
     model: LogisticModel
     threshold: float
-    include_speaker: bool = False
+
+    def __post_init__(self) -> None:
+        if self.scope not in SCOPES:
+            raise ConfigError(f"unknown filter scope {self.scope!r}")
+        if not 0.0 <= self.threshold <= 1.0:
+            raise ConfigError(f"threshold {self.threshold} outside [0, 1]")
 
 
-def utterance_tokens(transcript: Transcript, include_speaker: bool = False) -> list[list[str]]:
-    docs = []
-    for utterance in transcript.utterances:
-        tokens = tokenize(utterance.text)
-        if include_speaker:
-            tokens = [f"spk{utterance.speaker}", *tokens]
-        docs.append(tokens)
-    return docs
+def utterance_tokens(transcript: Transcript) -> list[list[str]]:
+    return [tokenize(utterance.text) for utterance in transcript.utterances]
 
 
 def train_filter(
@@ -151,7 +151,6 @@ def train_filter(
     threshold: float | None = None,
     reg_c: float = 1.0,
     min_df: int = 1,
-    include_speaker: bool = False,
 ) -> FilterModel:
     """Train the utterance-level noteworthiness classifier.
 
@@ -165,7 +164,7 @@ def train_filter(
     docs: list[list[str]] = []
     targets: list[int] = []
     for transcript, note in corpus:
-        docs.extend(utterance_tokens(transcript, include_speaker))
+        docs.extend(utterance_tokens(transcript))
         targets.extend(
             noteworthy_targets(transcript, note, scope, labels, merge_map).tolist()
         )
@@ -174,19 +173,11 @@ def train_filter(
     model = train_logistic(X, np.asarray(targets, dtype=float), reg_c=reg_c)
     if threshold is None:
         threshold = DEFAULT_THRESHOLDS[scope]
-    if not 0.0 <= threshold <= 1.0:
-        raise ConfigError(f"threshold {threshold} outside [0, 1]")
-    return FilterModel(
-        scope=scope,
-        vocab=vocab,
-        model=model,
-        threshold=threshold,
-        include_speaker=include_speaker,
-    )
+    return FilterModel(scope=scope, vocab=vocab, model=model, threshold=threshold)
 
 
 def utterance_probabilities(fm: FilterModel, transcript: Transcript) -> np.ndarray:
-    docs = utterance_tokens(transcript, fm.include_speaker)
+    docs = utterance_tokens(transcript)
     return predict_proba_matrix(fm.model, tfidf_transform(fm.vocab, docs))
 
 
@@ -194,21 +185,21 @@ def filter_to_record(fm: FilterModel) -> dict:
     return {
         "scope": fm.scope,
         "threshold": fm.threshold,
-        "include_speaker": fm.include_speaker,
-        "vocab": vocabulary_to_record(fm.vocab),
+        **vocabulary_entries(fm.vocab),
         **logistic_to_record(fm.model),
     }
 
 
 def filter_from_record(record: dict | Fields) -> FilterModel:
     fields = as_fields(record, "filter", ConfigError)
-    vocab = vocabulary_from_record(fields.section("vocab"))
-    return FilterModel(
+    vocab = read_vocabulary(fields)
+    return build(
+        fields.source,
+        FilterModel,
         scope=fields.get("scope", str),
         vocab=vocab,
         model=logistic_from_record(fields, width=len(vocab)),
         threshold=float(fields.get("threshold", float)),
-        include_speaker=fields.get("include_speaker", bool),
     )
 
 
@@ -218,6 +209,22 @@ def load_filter(path: str | Path) -> FilterModel:
 
 # ---------------------------------------------------------------------------
 # Selection
+
+
+def oracle_indices(
+    pairs: Sequence[tuple[Transcript, SoapNote]],
+    scope: str,
+    labels: Iterable[str] | None = None,
+    merge_map: Mapping[str, str] | None = None,
+) -> dict[str, list[int]]:
+    """Per transcript id, the utterances its note cites as evidence under
+    ``scope``: the selection a learned filter chases."""
+    return {
+        transcript.id: np.flatnonzero(
+            noteworthy_targets(transcript, note, scope, labels, merge_map)
+        ).tolist()
+        for transcript, note in pairs
+    }
 
 
 def fill_to_k(umls_indices: Iterable[int], probs: np.ndarray, k: int) -> list[int]:

@@ -17,7 +17,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import DataError, ParseError
 
 
 class FieldWarnings:
@@ -147,6 +147,15 @@ class Fields:
         if unknown:
             raise self.fail(f"unknown {self.path + ' ' if self.path else ''}keys {unknown}")
         return {k: self.get(k, kind) for k, kind in kinds.items() if required or k in self.record}
+
+
+def build(source: str, constructor, /, **values):
+    """``constructor(**values)``; the DataError it raises for a value read from
+    ``source`` names that file (and line) too."""
+    try:
+        return constructor(**values)
+    except DataError as exc:
+        raise type(exc)(f"{source}: {exc}") from None
 
 
 def as_fields(record: Any, source: str, error: type = ParseError) -> Fields:

@@ -35,14 +35,13 @@ from .features import (
     Vocabulary,
     count_transform,
     fit_vocabulary,
+    read_vocabulary,
     tfidf_transform,
     tokenize,
-    vocabulary_from_record,
-    vocabulary_hash,
-    vocabulary_to_record,
+    vocabulary_entries,
 )
 from .filtering import FilterModel, FilterStrategy, apply_filter, filter_from_record, filter_to_record, format_strategy, parse_strategy
-from .jsonio import Fields, atomic_write_text, read_json, read_jsonl, write_jsonl
+from .jsonio import Fields, atomic_write_text, build, read_json, read_jsonl, write_jsonl
 from .linear import (
     LogisticModel,
     NaiveBayesModel,
@@ -56,6 +55,12 @@ from .metrics import METRIC_NAMES, evaluate_matrix
 from .transcripts import Transcript
 
 PIPELINE_BACKENDS = ("logistic", "naive_bayes", "encoder")
+
+# The encoder backend's fixed settings: token-vector seed, chunk length and
+# the token cap applied before chunking.
+ENCODER_SEED = 0
+CHUNK_SIZE = 512
+TOKEN_CAP = 2040
 
 
 @dataclass
@@ -114,7 +119,7 @@ def load_scores(path: str | Path) -> ScoreMatrix:
         rows.append([float(scores.get(label, float)) for label in labels])
     if labels is None:
         raise ParseError(f"score file {path} is empty")
-    return ScoreMatrix(example_ids=ids, labels=labels, scores=np.array(rows))
+    return build(str(path), ScoreMatrix, example_ids=ids, labels=labels, scores=np.array(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -138,12 +143,7 @@ def assemble_filtered_segments(
 
 
 class HashedTokenEncoder:
-    """Deterministic stand-in encoder: mean of seeded random token vectors.
-
-    Serves as the reference implementation behind the chunk-and-pool adapter;
-    any object with ``dim`` and ``encode(tokens) -> vector`` plugs in the same
-    way.
-    """
+    """Deterministic stand-in encoder: mean of seeded random token vectors."""
 
     def __init__(self, dim: int = 64, seed: int = 0):
         if dim < 1:
@@ -172,8 +172,8 @@ class HashedTokenEncoder:
 def chunk_and_pool(
     tokens: Sequence[str],
     encoder,
-    chunk_size: int = 512,
-    token_cap: int = 2040,
+    chunk_size: int = CHUNK_SIZE,
+    token_cap: int = TOKEN_CAP,
 ) -> np.ndarray:
     """Truncate to ``token_cap`` tokens, encode consecutive ``chunk_size``
     chunks, and mean-pool the chunk vectors.
@@ -203,11 +203,7 @@ class PipelineConfig:
     strategy: FilterStrategy = field(default_factory=lambda: FilterStrategy(kind="none"))
     reg_c: float = 1.0
     min_df: int = 2
-    threshold: float = 0.5  # binarization threshold used at evaluation time
     encoder_dim: int = 64
-    encoder_seed: int = 0
-    chunk_size: int = 512
-    token_cap: int = 2040
 
     def __post_init__(self) -> None:
         if self.backend not in PIPELINE_BACKENDS:
@@ -218,6 +214,8 @@ class PipelineConfig:
             raise ConfigError("reg_c must be positive")
         if self.min_df < 1:
             raise ConfigError("min_df must be >= 1")
+        if self.encoder_dim < 1:
+            raise ConfigError("encoder_dim must be >= 1")
 
 
 @dataclass
@@ -229,7 +227,18 @@ class TrainedPipeline:
     filter_model: FilterModel | None = None
     lexicon: ConceptLexicon | None = None
     task_map: TaskMap | None = None
-    encoder: HashedTokenEncoder | None = None
+    # Built from the config, never passed in; it caches token vectors for
+    # as long as the pipeline lives.
+    encoder: HashedTokenEncoder | None = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.encoder = _encoder(self.config)
+
+
+def _encoder(config: PipelineConfig) -> HashedTokenEncoder | None:
+    if config.backend != "encoder":
+        return None
+    return HashedTokenEncoder(config.encoder_dim, ENCODER_SEED)
 
 
 def _resolve_indices(
@@ -278,12 +287,7 @@ def _featurize(
 ):
     if config.backend == "encoder":
         rows = [
-            chunk_and_pool(
-                [token for segment in doc for token in segment],
-                encoder,
-                config.chunk_size,
-                config.token_cap,
-            )
+            chunk_and_pool([token for segment in doc for token in segment], encoder)
             for doc in docs
         ]
         return np.vstack(rows) if rows else np.zeros((0, encoder.dim))
@@ -299,7 +303,6 @@ def train_pipeline(
     lexicon: ConceptLexicon | None = None,
     task_map: TaskMap | None = None,
     indices_override: Mapping[str, Sequence[int]] | None = None,
-    encoder: HashedTokenEncoder | None = None,
 ) -> TrainedPipeline:
     """Filter, featurize, and fit the one-vs-rest model.
 
@@ -312,13 +315,8 @@ def train_pipeline(
     docs = _filtered_segments(
         config, transcripts, filter_model, lexicon, task_map, indices_override
     )
-    vocab = None
-    if config.backend == "encoder":
-        if encoder is None:
-            encoder = HashedTokenEncoder(config.encoder_dim, config.encoder_seed)
-    else:
-        vocab = fit_vocabulary(docs, min_df=config.min_df)
-    X = _featurize(config, docs, vocab, encoder)
+    vocab = None if config.backend == "encoder" else fit_vocabulary(docs, min_df=config.min_df)
+    X = _featurize(config, docs, vocab, _encoder(config))
     backend = "naive_bayes" if config.backend == "naive_bayes" else "logistic"
     ovr = train_ovr(X, matrix.values, matrix.space.labels, backend=backend, reg_c=config.reg_c)
     return TrainedPipeline(
@@ -329,7 +327,6 @@ def train_pipeline(
         filter_model=filter_model,
         lexicon=lexicon,
         task_map=task_map,
-        encoder=encoder,
     )
 
 
@@ -374,11 +371,7 @@ CONFIG_KINDS = {
     "strategy": str,
     "reg_c": float,
     "min_df": int,
-    "threshold": float,
     "encoder_dim": int,
-    "encoder_seed": int,
-    "chunk_size": int,
-    "token_cap": int,
 }
 
 
@@ -424,14 +417,15 @@ def save_pipeline(path: str | Path, pipeline: TrainedPipeline) -> None:
         },
     }
     if pipeline.vocab is not None:
-        record["vocab"] = vocabulary_to_record(pipeline.vocab)
-        record["vocab_hash"] = vocabulary_hash(pipeline.vocab)
+        record.update(vocabulary_entries(pipeline.vocab))
     if pipeline.filter_model is not None:
         record["filter"] = filter_to_record(pipeline.filter_model)
     if pipeline.lexicon is not None:
+        # A task map only routes concept hits, so it is saved with the lexicon:
+        # null when hits were not routed, and never silently left out.
         record["lexicon"] = [concept_to_record(c) for c in pipeline.lexicon.concepts]
-    if pipeline.task_map is not None:
-        record["task_map"] = task_map_to_record(pipeline.task_map)
+        task_map = pipeline.task_map
+        record["task_map"] = task_map_to_record(task_map) if task_map is not None else None
     atomic_write_text(path, json.dumps(record) + "\n")
 
 
@@ -466,23 +460,18 @@ def load_pipeline(path: str | Path) -> TrainedPipeline:
     fields = read_json(path, ConfigError)
     if fields.get("format", str) != PIPELINE_FORMAT:
         raise ConfigError(f"{path} is not a pipeline file")
-    config = PipelineConfig(**fields.section("config").typed(CONFIG_KINDS))
+    config = build(fields.source, PipelineConfig, **fields.section("config").typed(CONFIG_KINDS))
     space = space_from_record(fields.section("space"))
     ovr_fields = fields.section("ovr")
-    ovr = OneVsRestModel(
+    ovr = build(
+        fields.source,
+        OneVsRestModel,
         labels=space.labels,
         backend=ovr_fields.get("backend", str),
         models=[_model_from_record(m) for m in ovr_fields.records("models")],
         reg_c=float(ovr_fields.get("reg_c", float)),
     )
-    vocab = None
-    if "vocab" in fields:
-        vocab = vocabulary_from_record(fields.section("vocab"))
-        if fields.get("vocab_hash", str) != vocabulary_hash(vocab):
-            raise fields.fail(
-                "vocabulary hash mismatch; the model file was built "
-                "against a different vocabulary"
-            )
+    vocab = read_vocabulary(fields) if "vocab" in fields else None
     _check_heads(path, config, ovr, vocab)
     # A section the strategy needs is required; otherwise it is read if present.
     strategy = config.strategy
@@ -491,16 +480,11 @@ def load_pipeline(path: str | Path) -> TrainedPipeline:
         filter_model = filter_from_record(fields.section("filter"))
     if strategy.needs_lexicon or "lexicon" in fields:
         concepts = parse_concepts(fields, "lexicon")
-        lexicon = build_lexicon(concepts)
+        lexicon = build(fields.source, build_lexicon, concepts=concepts)
         if lexicon.concepts != concepts:
             raise fields.fail("'lexicon' does not hold a compiled lexicon")
-    if "task_map" in fields:
-        task_map = parse_task_map(fields.section("task_map"))
-    encoder = (
-        HashedTokenEncoder(config.encoder_dim, config.encoder_seed)
-        if config.backend == "encoder"
-        else None
-    )
+        if fields.get("task_map", dict, null=True) is not None:
+            task_map = parse_task_map(fields.section("task_map"))
     return TrainedPipeline(
         config=config,
         space=space,
@@ -509,7 +493,6 @@ def load_pipeline(path: str | Path) -> TrainedPipeline:
         filter_model=filter_model,
         lexicon=lexicon,
         task_map=task_map,
-        encoder=encoder,
     )
 
 

@@ -192,6 +192,22 @@ def speech_vocabulary_tokens() -> set[str]:
 
 _DEFAULT_ROS_RATES = (0.30, 0.20, 0.16, 0.10, 0.09, 0.10, 0.08)
 
+# Fixed generation rates. Each is a probability per draw except
+# MISC_ENTRIES_MEAN, the Poisson mean of miscellaneous note entries.
+BACKCHANNEL_PROB = 0.15
+MARKER_NOISE_PROB = 0.02
+MISC_ENTRIES_MEAN = 0.5
+EXTRA_EVIDENCE_PROB = 0.10
+PMH_ROUTE_PROB = 0.30
+DUPLICATE_ENTRY_PROB = 0.10
+NEGATIVE_CONTROL_PROB = 0.25
+OFFLABEL_TAG_PROB = 0.015
+# Prefixed variants compete with rare plain tags for merge-target slots, so
+# prefixes stay rare; parenthetical suffixes normalize away and are free.
+VARIANT_PREFIX_PROB = 0.20
+VARIANT_SUFFIX_PROB = 0.25
+SECOND_OBS_PROB = 0.15
+
 
 def _default_diagnosis_rates() -> tuple[float, ...]:
     return tuple(float(p) for p in reference_labels("diagnosis").prevalence)
@@ -205,7 +221,6 @@ class GenConfig:
     mean_utterances: float = 215.0
     min_utterances: int = 12
     mean_words: float = 8.0
-    backchannel_prob: float = 0.15
     diagnosis_rates: tuple[float, ...] = field(default_factory=_default_diagnosis_rates)
     # Generation rates, not the reference prevalences: every system must
     # clear the space-inclusion cutoff with margin or derivation would drop it.
@@ -213,20 +228,8 @@ class GenConfig:
     explicit_mention_prob: float = 0.95
     paraphrase_prob: float = 0.30
     marker_prob: float = 0.95
-    marker_noise_prob: float = 0.02
     distractor_mean: float = 2.2
     denies_rate: float = 0.08
-    misc_entries_mean: float = 0.5
-    extra_evidence_prob: float = 0.10
-    pmh_route_prob: float = 0.30
-    duplicate_entry_prob: float = 0.10
-    negative_control_prob: float = 0.25
-    offlabel_tag_prob: float = 0.015
-    # Prefixed variants compete with rare plain tags for merge-target slots,
-    # so prefixes stay rare; parenthetical suffixes normalize away and are free.
-    variant_prefix_prob: float = 0.20
-    variant_suffix_prob: float = 0.25
-    second_obs_prob: float = 0.15
     id_prefix: str = "synth"
 
     def __post_init__(self) -> None:
@@ -236,24 +239,9 @@ class GenConfig:
             raise GenerationError("need mean_utterances >= min_utterances >= 1")
         if self.mean_words < 1.0:
             raise GenerationError("mean_words must be at least 1")
-        if self.distractor_mean < 0 or self.misc_entries_mean < 0:
-            raise GenerationError("rates must be non-negative")
-        for name in (
-            "backchannel_prob",
-            "explicit_mention_prob",
-            "paraphrase_prob",
-            "marker_prob",
-            "marker_noise_prob",
-            "denies_rate",
-            "extra_evidence_prob",
-            "pmh_route_prob",
-            "duplicate_entry_prob",
-            "negative_control_prob",
-            "offlabel_tag_prob",
-            "variant_prefix_prob",
-            "variant_suffix_prob",
-            "second_obs_prob",
-        ):
+        if self.distractor_mean < 0:
+            raise GenerationError("distractor_mean must be non-negative")
+        for name in ("explicit_mention_prob", "paraphrase_prob", "marker_prob", "denies_rate"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise GenerationError(f"{name} must lie in [0, 1], got {value}")
@@ -274,15 +262,15 @@ class GenConfig:
         ros = sum(self.ros_rates)
         no_diag = math.prod(1.0 - p for p in self.diagnosis_rates)
         entries = (
-            diag * (1.0 + self.duplicate_entry_prob)
+            diag * (1.0 + DUPLICATE_ENTRY_PROB)
             + no_diag
             + ros
             + (len(self.ros_rates) - ros) * self.denies_rate
-            + self.misc_entries_mean
-            + self.negative_control_prob
-            + self.offlabel_tag_prob
+            + MISC_ENTRIES_MEAN
+            + NEGATIVE_CONTROL_PROB
+            + OFFLABEL_TAG_PROB
         )
-        return entries * (1.0 + self.extra_evidence_prob) + self.distractor_mean
+        return entries * (1.0 + EXTRA_EVIDENCE_PROB) + self.distractor_mean
 
     @classmethod
     def desk(cls, n_examples: int = 1000, **overrides) -> "GenConfig":
@@ -407,9 +395,9 @@ class _Generator:
 
     def _tag_text(self, label: str) -> str:
         text = label
-        if self._chance(self.cfg.variant_prefix_prob):
+        if self._chance(VARIANT_PREFIX_PROB):
             text = f"{self._pick(VARIANT_PREFIXES)} {text}"
-        if self._chance(self.cfg.variant_suffix_prob):
+        if self._chance(VARIANT_SUFFIX_PROB):
             text = f"{text} ({self._pick(TAG_SUFFIXES)})"
         if self._chance(0.3):
             text = text[0].upper() + text[1:]
@@ -457,12 +445,12 @@ class _Generator:
 
         for position, label in enumerate(diag_positive):
             cui = self.diag_cuis[self.diag_labels.index(label)]
-            repeats = 1 + (position > 0 and self._chance(cfg.duplicate_entry_prob))
+            repeats = 1 + (position > 0 and self._chance(DUPLICATE_ENTRY_PROB))
             for _ in range(repeats):
                 tag = TagPair(PROBLEM_TAG_KEY, self._tag_text(label))
                 if position == 0:
                     subsection, tags = "chief_complaint", [tag]
-                elif self._chance(cfg.pmh_route_prob):
+                elif self._chance(PMH_ROUTE_PROB):
                     subsection = "past_medical_history"
                     tags = [tag, TagPair(HPI_MARKER_KEY, HPI_MARKER_VALUE)]
                 else:
@@ -474,7 +462,7 @@ class _Generator:
         for system in ros_positive:
             cui = self._pick(self.system_cuis[system])
             observations = [RosObservation(system, self.symptom_names[cui], "confirms")]
-            if len(self.system_cuis[system]) > 1 and self._chance(cfg.second_obs_prob):
+            if len(self.system_cuis[system]) > 1 and self._chance(SECOND_OBS_PROB):
                 other = self._pick([c for c in self.system_cuis[system] if c != cui])
                 observations.append(
                     RosObservation(system, self.symptom_names[other], "confirms")
@@ -496,12 +484,12 @@ class _Generator:
                     text=f"{system}: denies {symptom}.",
                 )
 
-        for _ in range(int(self.rng.poisson(cfg.misc_entries_mean))):
+        for _ in range(int(self.rng.poisson(MISC_ENTRIES_MEAN))):
             subsection = self._pick(MISC_SUBSECTIONS)
             plan(subsection, "misc", text=_MISC_TEXTS[subsection])
 
         negatives = [l for l in self.diag_labels if l not in diag_positive]
-        if negatives and self._chance(cfg.negative_control_prob):
+        if negatives and self._chance(NEGATIVE_CONTROL_PROB):
             tag = TagPair(PROBLEM_TAG_KEY, self._tag_text(self._pick(negatives)))
             plan(
                 "past_medical_history",
@@ -509,13 +497,13 @@ class _Generator:
                 tags=[tag],
                 text="Remote history, not active today.",
             )
-        if self._chance(cfg.offlabel_tag_prob):
+        if self._chance(OFFLABEL_TAG_PROB):
             tag = TagPair(PROBLEM_TAG_KEY, self._pick(OFFLABEL_TAGS))
             plan("assessment", "offlabel", tags=[tag], text=f"{tag.value} noted.")
 
         # Allocate distinct utterance slots for evidence and distractors.
         for item in plans:
-            item["n_lines"] = 1 + int(self._chance(cfg.extra_evidence_prob))
+            item["n_lines"] = 1 + int(self._chance(EXTRA_EVIDENCE_PROB))
         needed = sum(item["n_lines"] for item in plans)
         n_distractors = int(self.rng.poisson(cfg.distractor_mean))
         negative_cuis = [
@@ -565,7 +553,7 @@ class _Generator:
                 speakers[index] = "patient" if self._chance(0.7) else "physician"
         for index in distractor_slots:
             words = self._filler_words(self._line_length())
-            if self._chance(cfg.marker_noise_prob):
+            if self._chance(MARKER_NOISE_PROB):
                 self._insert_phrase(words, self._pick(MARKER_PHRASES))
             self._insert_phrase(words, self._concept_phrase(self._pick(negative_cuis)))
             mentioned.add(index)
@@ -574,12 +562,12 @@ class _Generator:
         for index in range(n_utterances):
             if index in texts:
                 continue
-            if self._chance(cfg.backchannel_prob):
+            if self._chance(BACKCHANNEL_PROB):
                 texts[index] = self._pick(BACKCHANNEL_PHRASES)
                 speakers[index] = "physician" if self._chance(0.6) else "patient"
             else:
                 words = self._filler_words(self._line_length())
-                if self._chance(cfg.marker_noise_prob):
+                if self._chance(MARKER_NOISE_PROB):
                     self._insert_phrase(words, self._pick(MARKER_PHRASES))
                 texts[index] = " ".join(words)
                 roll = self.rng.random()

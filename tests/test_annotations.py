@@ -345,3 +345,14 @@ def test_label_matrix_rejects_duplicate_ids(tmp_path):
     path.write_text("".join(json.dumps(row) + "\n" for row in rows))
     with pytest.raises(ParseError, match="line 3: duplicate id 'a'"):
         load_label_matrix(path)
+
+
+def test_label_header_value_out_of_range_names_the_file(tmp_path):
+    path = tmp_path / "labels.jsonl"
+    rows = [{"task": "ros", "labels": ["x"], "train_prevalence": [1.5]}, {"id": "a", "labels": []}]
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    with pytest.raises(ValidationError) as raised:
+        load_label_matrix(path)
+    assert str(raised.value) == (
+        f"{path}: line 1: train_prevalence entries must lie in [0, 1]"
+    )

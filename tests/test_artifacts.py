@@ -23,14 +23,12 @@ DATA = Path(__file__).resolve().parents[1] / "src" / "clinconv" / "data"
 
 # Mutations that leave a well-formed artifact with another meaning, so the
 # consumer may rightly exit 0 with different output: an example with no
-# positive label, an empty selection, a concept known by its canonical name
-# alone, and a pipeline whose concept hits are not routed by task. Only the
-# exit code is checked for these.
+# positive label, an empty selection, and a concept known by its canonical
+# name alone. Only the exit code is checked for these.
 VALID_VARIANTS = {
     ("labels.jsonl", (2, "labels"), "empty"),
     ("indices.jsonl", (1, "indices"), "empty"),
     ("lexicon.json", ("concepts", 0, "synonyms"), "empty"),
-    ("pipe_logistic.json", ("task_map",), "delete"),
 }
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import json
 from pathlib import Path
 
@@ -9,7 +11,8 @@ import numpy as np
 import pytest
 
 from clinconv import load_indices, load_label_matrix, load_scores
-from clinconv.cli import main
+from clinconv.cli import build_parser, main
+from clinconv.pipeline import CONFIG_KINDS, PipelineConfig
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "clinconv" / "data"
 
@@ -211,6 +214,44 @@ def test_sweep_rejects_grid_outside_unit_interval(workspace, tmp_path, capsys):
                "--min-df", "1", "--out", out) == 2
     assert "1.5 outside [0, 1]" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, value, message",
+    [
+        ("filter", "pred:all@..", "'pred:all@..'"),
+        ("filter", "pred:all@1e", "'pred:all@1e'"),
+        ("train", "pred:all@..", "'pred:all@..'"),
+        ("train", "pred:all@1e", "'pred:all@1e'"),
+        ("sweep", "a,0.5", "--grid 'a,0.5': could not convert string to float: 'a'"),
+    ],
+    ids=["filter-dots", "filter-bare-exponent", "train-dots", "train-bare-exponent", "sweep-grid"],
+)
+def test_unparseable_values_exit_2_naming_them(workspace, tmp_path, capsys, command, value, message):
+    root, run = workspace
+    corpus = root / "corpus" / "transcripts.jsonl"
+    argv = {
+        "filter": ("--transcripts", corpus, "--filter", root / "filter.json", "--strategy", value),
+        "train": ("--transcripts", corpus, "--labels", root / "diag.jsonl", "--strategy", value),
+        "sweep": ("--train-transcripts", corpus, "--train-labels", root / "diag.jsonl",
+                  "--test-transcripts", corpus, "--test-labels", root / "diag.jsonl",
+                  "--filter", root / "filter.json", "--grid", value),
+    }[command]
+    out = tmp_path / "out.json"
+    assert run(command, *argv, "--out", out) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_every_train_option_is_a_config_key_or_a_file():
+    """A train flag either sets a saved PipelineConfig field or names a file;
+    none can be accepted and then ignored."""
+    parser = build_parser()
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {a.dest for a in subcommands.choices["train"]._actions} - {"help"}
+    files = {"transcripts", "labels", "config", "filter", "lexicon", "task_map", "indices", "out"}
+    assert options - files == set(CONFIG_KINDS) - {"task"}
+    assert set(CONFIG_KINDS) == {f.name for f in dataclasses.fields(PipelineConfig)}
 
 
 def test_train_checks_the_task_map_against_the_lexicon(workspace, tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,7 @@ from clinconv.filtering import (
     filter_from_record,
     filter_to_record,
     format_strategy,
+    load_filter,
 )
 from clinconv.metrics import rank_auc
 
@@ -60,10 +63,22 @@ def test_fill_to_k_defaults_applied_per_scope():
         assert parse_strategy(f"f2k:umls+pred:{scope}").k == k
 
 
-@pytest.mark.parametrize("text", ["pred", "pred:everything", "f2k:pred:all", "umls+pred:all"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "pred",
+        "pred:everything",
+        "f2k:pred:all",
+        "umls+pred:all",
+        "pred:all@..",
+        "pred:all@1e",
+        "union:umls+pred:ros@1e+",
+    ],
+)
 def test_unparseable_strategies_rejected(text):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as raised:
         parse_strategy(text)
+    assert text.split(":")[-1] in str(raised.value)  # the message names the bad part
 
 
 def test_strategy_field_validation():
@@ -158,6 +173,33 @@ def test_filter_record_round_trip(trained):
         atol=0,
     )
     assert clone.scope == fm.scope and clone.threshold == fm.threshold
+
+
+def _swap_first_terms(record):
+    terms = record["vocab"]["terms"]
+    terms[0], terms[1] = terms[1], terms[0]
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_swap_first_terms, "vocabulary hash mismatch"),
+        (lambda r: r.pop("vocab_hash"), "no 'vocab_hash' key"),
+        (lambda r: r.update(threshold=1.5), "threshold 1.5 outside [0, 1]"),
+        (lambda r: r.update(scope="sentences"), "unknown filter scope 'sentences'"),
+    ],
+    ids=["swapped-terms", "no-vocab-hash", "threshold-above-one", "unknown-scope"],
+)
+def test_malformed_filter_file_rejected(tmp_path, trained, corrupt, message):
+    _, fm = trained
+    record = filter_to_record(fm)
+    corrupt(record)
+    path = tmp_path / "filter.json"
+    path.write_text(json.dumps(record))
+    with pytest.raises(ConfigError) as raised:
+        load_filter(path)
+    assert str(raised.value).startswith(f"{path}: ")
+    assert message in str(raised.value)
 
 
 def test_train_filter_validates_scope_and_corpus(trained):

@@ -113,6 +113,7 @@ def test_pipeline_file_format_guard(tmp_path):
         (lambda r: r["config"].update(reg_c="x"), "config.reg_c must be a number"),
         (lambda r: r["config"].update(min_df=2.5), "config.min_df must be an integer"),
         (lambda r: r["config"].update(strategy=7), "config.strategy must be a string"),
+        (lambda r: r["config"].update(reg_c=0), "reg_c must be positive"),
         # Without its hash a reordered vocabulary would score silently.
         (lambda r: (r.pop("vocab_hash"), r["vocab"]["terms"].reverse()), "no 'vocab_hash' key"),
     ],
@@ -126,6 +127,7 @@ def test_pipeline_file_format_guard(tmp_path):
         "reg_c-not-a-number",
         "min_df-not-an-integer",
         "strategy-not-a-string",
+        "reg_c-zero",
         "no-vocab-hash",
     ],
 )
@@ -139,6 +141,22 @@ def test_malformed_pipeline_artifact_rejected(tmp_path, trained_pipeline, corrup
         load_pipeline(path)
     assert str(raised.value).startswith(f"{path}: ")
     assert message in str(raised.value)
+
+
+def test_pipeline_with_a_lexicon_records_its_task_map(tmp_path, small_corpus, lexicon):
+    """A lexicon is saved with its task map, null when hits were not routed."""
+    derivation = derive_diagnosis_labels(small_corpus.pairs())
+    config = PipelineConfig(task="diagnosis", strategy="umls", min_df=2)
+    pipeline = train_pipeline(
+        config, small_corpus.transcripts, derivation.matrix, lexicon=lexicon
+    )
+    path = tmp_path / "pipe.json"
+    save_pipeline(path, pipeline)
+    assert json.loads(path.read_text())["task_map"] is None
+    loaded = load_pipeline(path)
+    assert loaded.task_map is None
+    sample = small_corpus.transcripts[:8]
+    assert np.array_equal(run_pipeline(loaded, sample).scores, run_pipeline(pipeline, sample).scores)
 
 
 def test_scores_file_round_trip(tmp_path, trained_pipeline):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,35 @@ from clinconv import (
     noteworthy_targets,
     umls_noteworthy,
 )
+from clinconv import save_notes, save_transcripts
 from clinconv.synth import load_truths, save_truths, speech_vocabulary_tokens
+
+# SHA-256 of the transcripts, notes and truth files written for small corpora.
+# They pin every random draw of the generator and its order: a change that
+# moves one draw changes the corpus, and with it every downstream figure. A
+# numpy release that changes a sampling algorithm would change them too.
+GOLDEN_DIGESTS = {
+    ("desk", 3): (
+        "7c9a1518c5c56170bd19ac588da5771ad2f67b62551dd0dd38f95793e5818b92",
+        "714288b144f07bf0aa36e82632dfb0855c074dd5aa1de44820b47596020fd209",
+        "e07e9f4e9dd76a4e735eded912da05d1e67eff67a7b996cc28f56e3bd22e096f",
+    ),
+    ("desk", 11): (
+        "4a3df9665e133e08abe579a4483549a5a868f5b01ca4bfd47dbb5edf674e20ff",
+        "979ee9727ec7c0fbf062b4e23c58c4e0bd3a0a2672a33cce8506126b9cb75d8a",
+        "3029ecb1bbaa09acf04464ee2fb0c5f0513d14dbfb871eeb9c7f3eebc0398565",
+    ),
+    ("full", 3): (
+        "7ed1b67cced36bb4ed7eac86df11ce0f408ed097ec89b928f080db22e92f2340",
+        "3fad03e4214f39418ae3c2d44e2e09c8e34096b29083b9d09051f6af76f1336c",
+        "bc68fc7f4d48dd3bdb12c16b31401901279983529bd11d5bb5a3d2caca3ede52",
+    ),
+    ("full", 11): (
+        "50eefe0640e54b01242985ead720f26508b1906773082b926879d677c82d8f2c",
+        "fda24e32440261cba899bffa17f2dccb3bbdc6e979eaee3457b689de87cdaed6",
+        "30866e97aaf988f1bcd68f521d08b5157c452e728203bafd1e709b31af2d802d",
+    ),
+}
 
 
 def test_same_seed_reproduces_corpus():
@@ -27,6 +57,18 @@ def test_same_seed_reproduces_corpus():
     assert first.transcripts == second.transcripts
     assert first.notes == second.notes
     assert first.truths == second.truths
+
+
+@pytest.mark.parametrize("scale, seed", sorted(GOLDEN_DIGESTS))
+def test_generated_files_match_golden_digests(tmp_path, scale, seed):
+    config = GenConfig.desk(n_examples=12) if scale == "desk" else GenConfig(n_examples=6)
+    corpus = generate(config, seed=seed)
+    paths = [tmp_path / name for name in ("transcripts.jsonl", "notes.jsonl", "truth.jsonl")]
+    save_transcripts(paths[0], corpus.transcripts)
+    save_notes(paths[1], corpus.notes)
+    save_truths(paths[2], corpus.truths)
+    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in paths)
+    assert digests == GOLDEN_DIGESTS[scale, seed]
 
 
 def test_different_seeds_differ():
