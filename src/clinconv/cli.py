@@ -46,13 +46,13 @@ from .concepts import (
 from .errors import ConfigError, DataError, FitError, ParseError, TrainingError, ValidationError
 from .filtering import (
     SCOPES,
-    apply_filter,
     filter_to_record,
     load_filter,
     load_indices,
     oracle_indices,
     parse_strategy,
     save_indices,
+    select_utterances,
     threshold_sweep,
     train_filter,
 )
@@ -328,13 +328,8 @@ def cmd_filter(args) -> None:
                 raise ConfigError(f"strategy {args.strategy!r} needs --lexicon")
             lexicon, task_map = _load_lexicon(args.lexicon, args.task_map)
             inputs += [args.lexicon, args.task_map]
-        rows = [
-            (
-                t.id,
-                apply_filter(strategy, t, filter_model=fm, lexicon=lexicon, task_map=task_map),
-            )
-            for t in transcripts
-        ]
+        selections = select_utterances(strategy, transcripts, fm, lexicon, task_map)
+        rows = [(t.id, indices) for t, (indices, _) in zip(transcripts, selections)]
     save_indices(args.out, rows)
     _write_manifest(args, inputs)
     mean_selected = float(np.mean([len(idx) for _, idx in rows])) if rows else 0.0

@@ -55,6 +55,8 @@ class ConceptLexicon:
         self.concepts = concepts
         self.patterns = patterns
         self.max_pattern_len = max((len(p) for p in patterns), default=0)
+        # Only a position holding one of these words can start a hit.
+        self.first_tokens = frozenset(p[0] for p in patterns)
         self.by_cui = {c.cui: c for c in concepts}
 
     def __len__(self) -> int:
@@ -114,6 +116,9 @@ def tag_utterance(lexicon: ConceptLexicon, words: Sequence[str]) -> list[Concept
     """
     if isinstance(words, str):
         raise ValidationError("tag_utterance takes a token list, not a string")
+    first_tokens = lexicon.first_tokens
+    if first_tokens.isdisjoint(words):
+        return []
     starts = []
     offset = 0
     for word in words:
@@ -124,14 +129,15 @@ def tag_utterance(lexicon: ConceptLexicon, words: Sequence[str]) -> list[Concept
     i = 0
     while i < n:
         matched = 0
-        for length in range(min(lexicon.max_pattern_len, n - i), 0, -1):
-            cui = lexicon.patterns.get(tuple(words[i : i + length]))
-            if cui is not None:
-                start = starts[i]
-                end = starts[i + length - 1] + len(words[i + length - 1])
-                hits.append(ConceptHit(cui=cui, start=start, end=end))
-                matched = length
-                break
+        if words[i] in first_tokens:
+            for length in range(min(lexicon.max_pattern_len, n - i), 0, -1):
+                cui = lexicon.patterns.get(tuple(words[i : i + length]))
+                if cui is not None:
+                    start = starts[i]
+                    end = starts[i + length - 1] + len(words[i + length - 1])
+                    hits.append(ConceptHit(cui=cui, start=start, end=end))
+                    matched = length
+                    break
         i += matched if matched else 1
     return hits
 
@@ -239,22 +245,31 @@ def validate_task_map_against_lexicon(task_map: TaskMap, lexicon: ConceptLexicon
 # Entity baseline and concept-hit noteworthiness
 
 
-def transcript_hits(
+def token_hits(
     lexicon: ConceptLexicon,
-    transcript: Transcript,
+    utterances: Iterable[Sequence[str]],
     task_map: TaskMap | None = None,
 ) -> list[tuple[int, ConceptHit]]:
-    """(utterance index, hit) pairs across a whole transcript, in text order.
+    """(utterance index, hit) pairs across tokenized utterances, in text order.
 
     With a task map, only hits on concepts routed by that map count; without
     one, any concept in the lexicon counts.
     """
     return [
         (index, hit)
-        for index, utterance in enumerate(transcript.utterances)
-        for hit in tag_utterance(lexicon, tokenize(utterance.text))
+        for index, words in enumerate(utterances)
+        for hit in tag_utterance(lexicon, words)
         if task_map is None or hit.cui in task_map
     ]
+
+
+def transcript_hits(
+    lexicon: ConceptLexicon,
+    transcript: Transcript,
+    task_map: TaskMap | None = None,
+) -> list[tuple[int, ConceptHit]]:
+    """:func:`token_hits` over a transcript's utterances."""
+    return token_hits(lexicon, (tokenize(u.text) for u in transcript.utterances), task_map)
 
 
 def entity_baseline_predict(

@@ -4,6 +4,13 @@ A document is a list of token segments (one segment per utterance); bigrams
 are formed inside a segment and never across segment boundaries. A plain list
 of tokens is accepted as a single segment. The transforms take a sequence of
 documents and return one CSR matrix with a row per document.
+
+Fitting and counting walk the documents in blocks of about ``BLOCK_TOKENS``
+tokens. A block holds whole documents; one longer than the budget is a block
+of its own. Inside a block the tokens are interned to integer ids, so that
+unigrams map to columns through an id array and each distinct within-segment
+bigram is spelled out and looked up once. Temporaries stay bounded by the
+block, not by the corpus.
 """
 
 from __future__ import annotations
@@ -11,9 +18,9 @@ from __future__ import annotations
 import json
 import re
 from array import array
-from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from itertools import chain, count
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,6 +31,10 @@ from .jsonio import Fields, build, sha256_text
 _TOKEN = re.compile(r"[0-9a-z]+")
 
 Doc = Sequence  # Sequence[str] or Sequence[Sequence[str]]
+
+# Tokens per block, for the featurizer here and for the groups of transcripts
+# that filter selection scores at once.
+BLOCK_TOKENS = 1 << 15
 
 
 def tokenize(text: str) -> list[str]:
@@ -37,21 +48,6 @@ def _as_segments(doc: Doc) -> list[Sequence[str]]:
     if isinstance(doc[0], str):
         return [doc]
     return list(doc)
-
-
-def doc_terms(doc: Doc) -> Iterator[str]:
-    """Stream unigrams and within-segment adjacency bigrams.
-
-    Yield order is positional: each token, then the bigram it completes, so
-    first-seen vocabulary order is deterministic.
-    """
-    for segment in _as_segments(doc):
-        previous = None
-        for token in segment:
-            yield token
-            if previous is not None:
-                yield f"{previous} {token}"
-            previous = token
 
 
 @dataclass
@@ -78,34 +74,195 @@ class Vocabulary:
         return np.log((1.0 + self.n_docs) / (1.0 + self.df)) + 1.0
 
 
+@dataclass
+class _Block:
+    """Interned tokens of consecutive whole documents.
+
+    ``ids[p]`` is the id of token ``p`` and ``tokens[i]`` the text of id ``i``;
+    ``rows[p]`` is the block-local document of token ``p``. ``bigram_ends``
+    lists the positions that complete a within-segment bigram.
+    """
+
+    n_docs: int
+    tokens: list[str]
+    ids: np.ndarray
+    rows: np.ndarray
+    bigram_ends: np.ndarray
+
+    def bigram_codes(self) -> np.ndarray:
+        """``a * T + b`` for the bigram (a, b) ending at each of ``bigram_ends``."""
+        ends = self.bigram_ends
+        return self.ids[ends - 1] * len(self.tokens) + self.ids[ends]
+
+    def bigram_terms(self, codes: np.ndarray) -> Iterator[str]:
+        first, second = np.divmod(codes, len(self.tokens))
+        tokens = self.tokens
+        return (f"{tokens[a]} {tokens[b]}" for a, b in zip(first.tolist(), second.tolist()))
+
+
+def _make_block(docs: list[list[Sequence[str]]]) -> _Block:
+    segments = list(chain.from_iterable(docs))
+    flat = list(chain.from_iterable(segments))
+    # dict.fromkeys keeps first-seen order, so ids number tokens as they appear.
+    interned = dict(zip(dict.fromkeys(flat), count()))
+    lengths = np.fromiter(map(len, segments), dtype=np.int64, count=len(segments))
+    segment_rows = np.repeat(
+        np.arange(len(docs)), np.fromiter(map(len, docs), dtype=np.int64, count=len(docs))
+    )
+    n = len(flat)
+    continues = np.ones(n, dtype=bool)
+    continues[(np.cumsum(lengths) - lengths)[lengths > 0]] = False
+    return _Block(
+        n_docs=len(docs),
+        tokens=list(interned),
+        ids=np.fromiter(map(interned.__getitem__, flat), dtype=np.int64, count=n),
+        rows=np.repeat(segment_rows, lengths),
+        bigram_ends=np.flatnonzero(continues),
+    )
+
+
+def token_groups(docs: Iterable[list[Sequence[str]]]) -> Iterator[list[list[Sequence[str]]]]:
+    """Consecutive whole segment-list documents, about ``BLOCK_TOKENS`` tokens
+    (and at most that many documents) per group."""
+    group: list[list[Sequence[str]]] = []
+    size = 0
+    for segments in docs:
+        group.append(segments)
+        size += sum(map(len, segments))
+        if size >= BLOCK_TOKENS or len(group) >= BLOCK_TOKENS:
+            yield group
+            group, size = [], 0
+    if group:
+        yield group
+
+
+def _blocks(docs: Iterable[Doc]) -> Iterator[_Block]:
+    return map(_make_block, token_groups(map(_as_segments, docs)))
+
+
 def fit_vocabulary(docs: Iterable[Doc], min_df: int = 2) -> Vocabulary:
     """Collect unigrams and bigrams with document frequency >= min_df.
 
     Terms keep first-seen order, which makes feature indices reproducible for
-    a given corpus ordering.
+    a given corpus ordering: each token, then the bigram it completes.
     """
     if min_df < 1:
         raise ValidationError("min_df must be >= 1")
-    order: dict[str, None] = {}
-    df_counts: Counter[str] = Counter()
+    term_ids: dict[str, int] = {}
+    df = np.zeros(0, dtype=np.int64)
     n_docs = 0
-    for doc in docs:
-        n_docs += 1
-        seen: set[str] = set()
-        for term in doc_terms(doc):
-            if term not in order:
-                order[term] = None
-            if term not in seen:
-                seen.add(term)
-                df_counts[term] += 1
-    terms = [term for term in order if df_counts[term] >= min_df]
+    for block in _blocks(docs):
+        n_docs += block.n_docs
+        ids, ends, n_ids = block.ids, block.bigram_ends, len(block.tokens)
+        # Ids number tokens as they first appear, so a token is new exactly
+        # where the running maximum of the ids steps up.
+        token_first = np.flatnonzero(np.diff(np.maximum.accumulate(ids), prepend=-1))
+        codes, bigram_first, inverse = np.unique(
+            block.bigram_codes(), return_index=True, return_inverse=True
+        )
+        # In stream order token p sits at slot 2p and the bigram it completes
+        # at slot 2p+1; terms take global ids in order of their first slot.
+        slots = np.concatenate([2 * token_first, 2 * ends[bigram_first] + 1])
+        names = [*block.tokens, *block.bigram_terms(codes)]
+        global_ids = np.empty(len(names), dtype=np.int64)
+        for k in np.argsort(slots).tolist():
+            global_ids[k] = term_ids.setdefault(names[k], len(term_ids))
+        # Each (document, term) pair once, coded row * n_terms + term.
+        n_terms = len(term_ids)
+        pairs = np.empty(len(ids) + len(ends), dtype=np.int64)
+        np.multiply(block.rows, n_terms, out=pairs[: len(ids)])
+        pairs[: len(ids)] += global_ids[ids]
+        np.multiply(block.rows[ends], n_terms, out=pairs[len(ids) :])
+        pairs[len(ids) :] += global_ids[n_ids + inverse]
+        pairs.sort()
+        first_of_pair = np.diff(pairs, prepend=-1) != 0
+        df = np.concatenate([df, np.zeros(n_terms - len(df), dtype=np.int64)])
+        df += np.bincount(pairs[first_of_pair] % n_terms, minlength=n_terms)
+    keep = df >= min_df
+    terms = [term for term, kept in zip(term_ids, keep.tolist()) if kept]
     if not terms:
         raise FitError(
             f"empty vocabulary: no term reaches document frequency {min_df} "
             f"across {n_docs} documents"
         )
-    df = np.array([df_counts[term] for term in terms], dtype=np.int64)
-    return Vocabulary(terms=terms, df=df, n_docs=n_docs, min_df=min_df)
+    return Vocabulary(terms=terms, df=df[keep], n_docs=n_docs, min_df=min_df)
+
+
+def _block_counts(vocab: Vocabulary, block: _Block) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending ``row * len(vocab) + column`` keys of a block and their counts."""
+    index = vocab.index
+    unigram_columns = np.array([index.get(token, -1) for token in block.tokens], dtype=np.int64)
+    codes, inverse = np.unique(block.bigram_codes(), return_inverse=True)
+    bigram_columns = np.fromiter(
+        (index.get(term, -1) for term in block.bigram_terms(codes)),
+        dtype=np.int64,
+        count=len(codes),
+    )
+    # One key per unigram and bigram, built in place; -1 marks a term the
+    # vocabulary lacks, and those sort first.
+    n = len(block.ids)
+    keys = np.empty(n + len(inverse), dtype=np.int64)
+    for part, rows, columns in (
+        (keys[:n], block.rows, unigram_columns[block.ids]),
+        (keys[n:], block.rows[block.bigram_ends], bigram_columns[inverse]),
+    ):
+        np.multiply(rows, len(vocab), out=part)
+        part += columns
+        part[columns < 0] = -1
+    keys.sort()
+    keys = keys[np.searchsorted(keys, 0) :]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    return keys[starts], np.diff(starts, append=len(keys))
+
+
+def _normalize(values: np.ndarray, columns: np.ndarray, lengths: np.ndarray, idf: np.ndarray) -> None:
+    """Weight one block's counts by idf and scale each row to unit L2 norm, in place."""
+    values *= idf[columns]
+    squares = values**2
+    starts = np.cumsum(lengths) - lengths
+    norms = np.zeros(len(lengths))
+    # Rows of one length are summed together as a 2-D array, one row each:
+    # that equals summing each row's slice alone, bit for bit, where a
+    # segment sum such as np.add.reduceat can differ in the last bit.
+    for length in np.unique(lengths[lengths > 0]).tolist():
+        rows = np.flatnonzero(lengths == length)
+        norms[rows] = np.sqrt(np.sum(squares[starts[rows, None] + np.arange(length)], axis=1))
+    norms[~(norms > 0)] = 1.0
+    values /= np.repeat(norms, lengths)
+
+
+def _transform(vocab: Vocabulary, docs: Sequence[Doc], idf: np.ndarray | None) -> sp.csr_matrix:
+    """Counts per document, or tf-idf rows when ``idf`` is given."""
+    if isinstance(docs, str):
+        raise ValidationError("documents must be a sequence, not a string")
+    for i, doc in enumerate(docs):
+        if isinstance(doc, str):
+            raise ValidationError(
+                f"document {i} is a string; pass token lists or segment lists"
+            )
+    width = len(vocab)
+    # The buffers become the matrix's own arrays: 32-bit columns where they fit.
+    indices = array("i" if width <= np.iinfo(np.int32).max else "q")
+    values = array("d")
+    indptr = array("q", [0])
+    for block in _blocks(docs):
+        keys, counts = _block_counts(vocab, block)
+        rows, columns = np.divmod(keys, max(width, 1))
+        lengths = np.bincount(rows, minlength=block.n_docs)
+        weights = counts.astype(np.float64)
+        if idf is not None:
+            _normalize(weights, columns, lengths, idf)
+        indptr.frombytes((len(indices) + np.cumsum(lengths)).tobytes())
+        indices.frombytes(columns.astype(indices.typecode).tobytes())
+        values.frombytes(weights.tobytes())
+    return sp.csr_matrix(
+        (
+            np.frombuffer(values, dtype=np.float64),
+            np.frombuffer(indices, dtype=indices.typecode),
+            np.frombuffer(indptr, dtype=np.int64),
+        ),
+        shape=(len(indptr) - 1, width),
+    )
 
 
 def count_transform(vocab: Vocabulary, docs: Sequence[Doc]) -> sp.csr_matrix:
@@ -114,30 +271,7 @@ def count_transform(vocab: Vocabulary, docs: Sequence[Doc]) -> sp.csr_matrix:
     Out-of-vocabulary terms are dropped; a document with no in-vocabulary
     term is a zero row. Column indices ascend within each row.
     """
-    if isinstance(docs, str):
-        raise ValidationError("documents must be a sequence, not a string")
-    index = vocab.index
-    indices = array("q")
-    values = array("d")
-    indptr = array("q", [0])
-    for doc in docs:
-        if isinstance(doc, str):
-            raise ValidationError(
-                f"document {len(indptr) - 1} is a string; pass token lists or segment lists"
-            )
-        counts: dict[int, int] = {}
-        for term in doc_terms(doc):
-            j = index.get(term)
-            if j is not None:
-                counts[j] = counts.get(j, 0) + 1
-        for j in sorted(counts):
-            indices.append(j)
-            values.append(counts[j])
-        indptr.append(len(indices))
-    return sp.csr_matrix(
-        (np.asarray(values), np.asarray(indices), np.asarray(indptr)),
-        shape=(len(indptr) - 1, len(vocab)),
-    )
+    return _transform(vocab, docs, None)
 
 
 def tfidf_transform(vocab: Vocabulary, docs: Sequence[Doc]) -> sp.csr_matrix:
@@ -145,16 +279,7 @@ def tfidf_transform(vocab: Vocabulary, docs: Sequence[Doc]) -> sp.csr_matrix:
 
     A document with no in-vocabulary terms maps to the zero row.
     """
-    X = count_transform(vocab, docs)
-    X.data *= vocab.idf()[X.indices]
-    # Each row's norm sums its own slice, so it equals the norm of that row
-    # computed alone; a vectorised segment sum can differ in the last bit.
-    squares = X.data**2
-    bounds = X.indptr.tolist()
-    norms = np.sqrt([np.sum(squares[a:b]) for a, b in zip(bounds, bounds[1:])])
-    norms[~(norms > 0)] = 1.0
-    X.data /= np.repeat(norms, np.diff(X.indptr))
-    return X
+    return _transform(vocab, docs, vocab.idf())
 
 
 def vocabulary_entries(vocab: Vocabulary) -> dict:

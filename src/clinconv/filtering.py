@@ -25,15 +25,14 @@ Strategy strings:
 from __future__ import annotations
 
 import re
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from pathlib import Path
-
 from .annotations import SoapNote, noteworthy_targets
-from .concepts import ConceptLexicon, TaskMap, umls_noteworthy
+from .concepts import ConceptLexicon, TaskMap, token_hits
 from .errors import ConfigError, TrainingError
 from .jsonio import Fields, as_fields, build, read_json, read_jsonl, write_jsonl
 from .features import (
@@ -41,6 +40,7 @@ from .features import (
     fit_vocabulary,
     read_vocabulary,
     tfidf_transform,
+    token_groups,
     tokenize,
     vocabulary_entries,
 )
@@ -176,9 +176,12 @@ def train_filter(
     return FilterModel(scope=scope, vocab=vocab, model=model, threshold=threshold)
 
 
-def utterance_probabilities(fm: FilterModel, transcript: Transcript) -> np.ndarray:
-    docs = utterance_tokens(transcript)
+def _probabilities(fm: FilterModel, docs: Sequence[Sequence[str]]) -> np.ndarray:
     return predict_proba_matrix(fm.model, tfidf_transform(fm.vocab, docs))
+
+
+def utterance_probabilities(fm: FilterModel, transcript: Transcript) -> np.ndarray:
+    return _probabilities(fm, utterance_tokens(transcript))
 
 
 def filter_to_record(fm: FilterModel) -> dict:
@@ -243,28 +246,30 @@ def fill_to_k(umls_indices: Iterable[int], probs: np.ndarray, k: int) -> list[in
     if len(base) >= k:
         return base
     chosen = set(base)
-    candidates = sorted(
-        (i for i in range(probs.size) if i not in chosen),
-        key=lambda i: (-probs[i], i),
-    )
-    for index in candidates:
+    # A stable sort on -probs breaks ties toward the lower index; a concept
+    # hit met on the way is already chosen and adds nothing.
+    for index in np.argsort(-probs, kind="stable").tolist():
         if len(chosen) >= k:
             break
         chosen.add(index)
     return sorted(chosen)
 
 
-def apply_filter(
+def select_utterances(
     strategy: FilterStrategy,
-    transcript: Transcript,
+    transcripts: Iterable[Transcript],
     filter_model: FilterModel | None = None,
     lexicon: ConceptLexicon | None = None,
     task_map: TaskMap | None = None,
-) -> list[int]:
-    """Selected utterance indices, ascending and duplicate-free."""
-    n = len(transcript.utterances)
-    if strategy.kind == "none":
-        return list(range(n))
+) -> Iterator[tuple[list[int], list[list[str]]]]:
+    """Per transcript, in order: the selected utterance indices (ascending and
+    duplicate-free) and the tokens of every utterance.
+
+    Each utterance is tokenized once; its tokens serve the filter, the tagger
+    and the caller. Transcripts are taken in groups of about
+    ``features.BLOCK_TOKENS`` tokens, and the filter scores each group with
+    one transform.
+    """
     if strategy.needs_lexicon and lexicon is None:
         raise ConfigError(f"strategy {format_strategy(strategy)} needs a concept lexicon")
     if strategy.needs_model:
@@ -275,23 +280,66 @@ def apply_filter(
                 f"strategy scope {strategy.scope!r} does not match filter scope "
                 f"{filter_model.scope!r}"
             )
+    groups = token_groups(map(utterance_tokens, transcripts))
+    return (
+        selection
+        for group in groups
+        for selection in _select_group(strategy, group, filter_model, lexicon, task_map)
+    )
 
+
+def _select_group(
+    strategy: FilterStrategy,
+    group: list[list[list[str]]],
+    filter_model: FilterModel | None,
+    lexicon: ConceptLexicon | None,
+    task_map: TaskMap | None,
+) -> Iterator[tuple[list[int], list[list[str]]]]:
+    probabilities: list = [None] * len(group)
+    if strategy.needs_model:
+        scores = _probabilities(filter_model, [words for tokens in group for words in tokens])
+        probabilities = np.split(scores, np.cumsum([len(tokens) for tokens in group])[:-1])
+    for tokens, probs in zip(group, probabilities):
+        yield _select(strategy, tokens, probs, filter_model, lexicon, task_map), tokens
+
+
+def _select(
+    strategy: FilterStrategy,
+    tokens: list[list[str]],
+    probs: np.ndarray | None,
+    filter_model: FilterModel | None,
+    lexicon: ConceptLexicon | None,
+    task_map: TaskMap | None,
+) -> list[int]:
+    if strategy.kind == "none":
+        return list(range(len(tokens)))
+    hits: list[int] = []
+    if strategy.needs_lexicon:
+        hits = sorted({index for index, _ in token_hits(lexicon, tokens, task_map)})
     if strategy.kind == "umls":
-        return umls_noteworthy(lexicon, transcript, task_map)
-
-    probs = utterance_probabilities(filter_model, transcript)
+        return hits
+    if strategy.kind == "fill_to_k":
+        return fill_to_k(hits, probs, strategy.k)
     threshold = (
         strategy.threshold if strategy.threshold is not None else filter_model.threshold
     )
+    predicted = np.flatnonzero(probs >= threshold).tolist()
     if strategy.kind == "predicted":
-        return np.flatnonzero(probs >= threshold).tolist()
-    if strategy.kind == "union":
-        predicted = set(np.flatnonzero(probs >= threshold).tolist())
-        hits = set(umls_noteworthy(lexicon, transcript, task_map))
-        return sorted(predicted | hits)
-    # fill_to_k
-    hits = umls_noteworthy(lexicon, transcript, task_map)
-    return fill_to_k(hits, probs, strategy.k)
+        return predicted
+    return sorted(set(predicted) | set(hits))  # union
+
+
+def apply_filter(
+    strategy: FilterStrategy,
+    transcript: Transcript,
+    filter_model: FilterModel | None = None,
+    lexicon: ConceptLexicon | None = None,
+    task_map: TaskMap | None = None,
+) -> list[int]:
+    """Selected utterance indices, ascending and duplicate-free: the
+    selection of :func:`select_utterances` for one transcript."""
+    [(indices, _)] = select_utterances(strategy, [transcript], filter_model, lexicon, task_map)
+    return indices
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -40,7 +40,15 @@ from .features import (
     tokenize,
     vocabulary_entries,
 )
-from .filtering import FilterModel, FilterStrategy, apply_filter, filter_from_record, filter_to_record, format_strategy, parse_strategy
+from .filtering import (
+    FilterModel,
+    FilterStrategy,
+    filter_from_record,
+    filter_to_record,
+    format_strategy,
+    parse_strategy,
+    select_utterances,
+)
 from .jsonio import Fields, atomic_write_text, build, read_json, read_jsonl, write_jsonl
 from .linear import (
     LogisticModel,
@@ -120,22 +128,6 @@ def load_scores(path: str | Path) -> ScoreMatrix:
     if labels is None:
         raise ParseError(f"score file {path} is empty")
     return build(str(path), ScoreMatrix, example_ids=ids, labels=labels, scores=np.array(rows))
-
-
-# ---------------------------------------------------------------------------
-# Text assembly
-
-
-def assemble_filtered_segments(
-    transcript: Transcript, indices: Iterable[int]
-) -> list[list[str]]:
-    n = len(transcript.utterances)
-    unique = sorted(set(int(i) for i in indices))
-    if unique and (unique[0] < 0 or unique[-1] >= n):
-        raise ValidationError(
-            f"filtered index outside transcript of {n} utterances"
-        )
-    return [tokenize(transcript.utterances[i].text) for i in unique]
 
 
 # ---------------------------------------------------------------------------
@@ -241,41 +233,29 @@ def _encoder(config: PipelineConfig) -> HashedTokenEncoder | None:
     return HashedTokenEncoder(config.encoder_dim, ENCODER_SEED)
 
 
-def _resolve_indices(
+def _filtered_segments(
     config: PipelineConfig,
-    transcript: Transcript,
+    transcripts: Sequence[Transcript],
     filter_model: FilterModel | None,
     lexicon: ConceptLexicon | None,
     task_map: TaskMap | None,
     override: Mapping[str, Sequence[int]] | None,
-) -> list[int]:
-    if override is not None:
-        if transcript.id not in override:
-            raise ConfigError(f"no provided indices for transcript {transcript.id!r}")
-        return sorted(set(int(i) for i in override[transcript.id]))
-    return apply_filter(
-        config.strategy,
-        transcript,
-        filter_model=filter_model,
-        lexicon=lexicon,
-        task_map=task_map,
-    )
-
-
-def _filtered_segments(
-    config: PipelineConfig,
-    transcripts: Sequence[Transcript],
-    filter_model,
-    lexicon,
-    task_map,
-    override,
 ) -> list[list[list[str]]]:
+    """Per transcript, the tokens of its selected utterances in order."""
+    if override is None:
+        selections = select_utterances(
+            config.strategy, transcripts, filter_model, lexicon, task_map
+        )
+        return [[tokens[i] for i in indices] for indices, tokens in selections]
     docs = []
     for transcript in transcripts:
-        indices = _resolve_indices(
-            config, transcript, filter_model, lexicon, task_map, override
-        )
-        docs.append(assemble_filtered_segments(transcript, indices))
+        if transcript.id not in override:
+            raise ConfigError(f"no provided indices for transcript {transcript.id!r}")
+        n = len(transcript.utterances)
+        indices = sorted(set(int(i) for i in override[transcript.id]))
+        if indices and (indices[0] < 0 or indices[-1] >= n):
+            raise ValidationError(f"filtered index outside transcript of {n} utterances")
+        docs.append([tokenize(transcript.utterances[i].text) for i in indices])
     return docs
 
 

@@ -133,15 +133,20 @@ def transcript_to_record(transcript: Transcript) -> dict:
 def load_transcripts(
     path: str | Path, warnings: FieldWarnings | None = None
 ) -> list[Transcript]:
-    """Load a JSONL corpus, enforcing id uniqueness."""
+    """Load a JSONL corpus, enforcing id uniqueness.
+
+    Every error names the file and line: ``<path>: line N: ...``.
+    """
     transcripts: list[Transcript] = []
     seen: set[str] = set()
     for line_number, record in iter_jsonl(path):
-        transcript = parse_transcript(record, line_number, warnings)
+        where = f"{path}: line {line_number}"
+        try:
+            transcript = parse_transcript(record, warnings=warnings)
+        except (ParseError, ValidationError) as exc:
+            raise type(exc)(f"{where}: {exc}") from exc
         if transcript.id in seen:
-            raise ValidationError(
-                f"line {line_number}: duplicate transcript id {transcript.id!r}"
-            )
+            raise ValidationError(f"{where}: duplicate transcript id {transcript.id!r}")
         seen.add(transcript.id)
         transcripts.append(transcript)
     return transcripts

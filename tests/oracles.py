@@ -11,12 +11,13 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
+from collections.abc import Iterator
 
 import numpy as np
 import scipy.sparse as sp
 
-from clinconv.errors import LexiconError
-from clinconv.features import doc_terms
+from clinconv.errors import FitError, LexiconError, ValidationError
+from clinconv.features import Vocabulary
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +250,49 @@ def all_positive_micro_f1(prevalence) -> float:
 
 # ---------------------------------------------------------------------------
 # Featurization, one document at a time
+
+
+def doc_terms(doc) -> Iterator[str]:
+    """Stream unigrams and within-segment adjacency bigrams.
+
+    A document is a list of token segments, or one plain token list. Yield
+    order is positional: each token, then the bigram it completes.
+    """
+    if not doc:
+        return
+    for segment in [doc] if isinstance(doc[0], str) else doc:
+        previous = None
+        for token in segment:
+            yield token
+            if previous is not None:
+                yield f"{previous} {token}"
+            previous = token
+
+
+def oracle_vocabulary(docs, min_df: int = 2) -> Vocabulary:
+    """Terms with document frequency >= min_df, in first-seen order of doc_terms."""
+    if min_df < 1:
+        raise ValidationError("min_df must be >= 1")
+    order: dict[str, None] = {}
+    df_counts: Counter[str] = Counter()
+    n_docs = 0
+    for doc in docs:
+        n_docs += 1
+        seen: set[str] = set()
+        for term in doc_terms(doc):
+            if term not in order:
+                order[term] = None
+            if term not in seen:
+                seen.add(term)
+                df_counts[term] += 1
+    terms = [term for term in order if df_counts[term] >= min_df]
+    if not terms:
+        raise FitError(
+            f"empty vocabulary: no term reaches document frequency {min_df} "
+            f"across {n_docs} documents"
+        )
+    df = np.array([df_counts[term] for term in terms], dtype=np.int64)
+    return Vocabulary(terms=terms, df=df, n_docs=n_docs, min_df=min_df)
 
 
 def document_counts(vocab, doc) -> tuple[np.ndarray, np.ndarray]:

@@ -342,3 +342,30 @@ def test_artifact_without_a_written_key_exits_2(workspace, tmp_path, capsys, art
         argv = ("predict", "--pipeline", broken)
     assert run(*argv, "--transcripts", transcripts, "--out", tmp_path / "out.jsonl") == 2
     assert f"{broken}: {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda r: r["utterances"][0].update(speaker="nurse"), "unknown speaker 'nurse'"),
+        (lambda r: r.pop("utterances"), "transcript record missing field 'utterances'"),
+        (lambda r: r.update(id="first"), "duplicate transcript id 'first'"),
+    ],
+    ids=["unknown-speaker", "missing-field", "duplicate-id"],
+)
+def test_a_bad_transcript_names_file_and_line(workspace, tmp_path, capsys, edit, message):
+    root, run = workspace
+    pipeline = tmp_path / "pipe.json"
+    corpus = root / "corpus" / "transcripts.jsonl"
+    assert run("train", "--transcripts", corpus, "--labels", root / "diag.jsonl",
+               "--out", pipeline) == 0
+    first, second = [json.loads(line) for line in corpus.read_text().splitlines()[:2]]
+    first["id"] = "first"
+    edit(second)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps(first) + "\n" + json.dumps(second) + "\n")
+    capsys.readouterr()
+    assert run("predict", "--pipeline", pipeline, "--transcripts", bad,
+               "--out", tmp_path / "scores.jsonl") == 2
+    err = capsys.readouterr().err
+    assert f"error: {bad}: line 2: " in err and message in err

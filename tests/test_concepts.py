@@ -90,6 +90,28 @@ def test_adjacent_hits_do_not_overlap(lex):
         assert left.end <= right.start
 
 
+def test_lexicon_lists_the_first_token_of_every_pattern(lex):
+    assert lex.first_tokens == {"myocardial", "heart", "mi", "chest", "pain"}
+
+
+def test_first_token_without_the_rest_of_its_pattern(lex):
+    # "heart" starts only "heart attack", "myocardial" only its own phrase.
+    assert tag(lex, "her heart rate and myocardial perfusion are fine") == []
+    hits = tag(lex, "heart murmur then a heart attack")
+    assert [(h.cui, h.start, h.end) for h in hits] == [("C1", 20, 32)]
+
+
+def test_first_token_as_the_last_word(lex):
+    assert tag(lex, "listen to the heart") == []
+    hits = tag(lex, "it was a heart heart attack and then mi")
+    assert [(h.cui, h.start) for h in hits] == [("C1", 15), ("C1", 37)]
+
+
+def test_utterance_without_any_first_token(lex):
+    assert tag(lex, "no complaints today thanks") == []
+    assert tag_utterance(lex, []) == []
+
+
 def test_cross_concept_duplicate_phrase_rejected():
     clashing = [
         Concept("C1", "chest pain", []),

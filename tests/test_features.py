@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clinconv import features
 from clinconv import (
     FitError,
     ValidationError,
@@ -16,8 +19,7 @@ from clinconv import (
     tfidf_transform,
     tokenize,
 )
-from clinconv.features import doc_terms
-from oracles import oracle_counts, oracle_tfidf, same_csr
+from oracles import doc_terms, oracle_counts, oracle_tfidf, oracle_vocabulary, same_csr
 
 DOCS = [
     [["chest", "pain", "today"], ["no", "chest", "pain"]],
@@ -161,3 +163,47 @@ def test_transforms_equal_the_per_document_oracle(docs, queries, min_df):
     for corpus in (docs, queries):
         assert same_csr(count_transform(vocab, corpus), oracle_counts(vocab, corpus))
         assert same_csr(tfidf_transform(vocab, corpus), oracle_tfidf(vocab, corpus))
+
+
+@given(token_docs(), st.integers(min_value=1, max_value=3))
+@settings(max_examples=150, deadline=None)
+def test_vocabulary_equals_the_first_seen_oracle(docs, min_df):
+    try:
+        expected = oracle_vocabulary(docs, min_df=min_df)
+    except FitError as error:
+        with pytest.raises(FitError, match=str(error)):
+            fit_vocabulary(docs, min_df=min_df)
+        return
+    # A generator works too: fitting makes a single pass.
+    vocab = fit_vocabulary(iter(docs), min_df=min_df)
+    assert vocab.terms == expected.terms
+    assert np.array_equal(vocab.df, expected.df)
+    assert (vocab.n_docs, vocab.min_df) == (expected.n_docs, expected.min_df)
+
+
+@given(token_docs(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_transforms_equal_the_oracle_for_any_vocabulary(docs, data):
+    """Exact for any vocabulary, including a bigram without its unigrams and
+    terms no document holds."""
+    universe = sorted({term for doc in docs for term in doc_terms(doc)} | {"zz", "a zz"})
+    terms = data.draw(st.lists(st.sampled_from(universe), unique=True, max_size=12))
+    vocab = Vocabulary(terms=terms, df=np.ones(len(terms)), n_docs=2, min_df=1)
+    assert same_csr(count_transform(vocab, docs), oracle_counts(vocab, docs))
+    assert same_csr(tfidf_transform(vocab, docs), oracle_tfidf(vocab, docs))
+
+
+def test_a_bigram_without_its_unigrams_is_counted():
+    vocab = Vocabulary(terms=["chest pain", "a b"], df=[1, 1], n_docs=1, min_df=1)
+    X = count_transform(vocab, [[["chest", "pain", "chest", "pain"]], ["a b", "a", "b"]])
+    # The token "a b" and the bigram "a b" are the same term.
+    assert X.toarray().tolist() == [[2.0, 0.0], [0.0, 2.0]]
+
+
+@pytest.mark.parametrize("block_tokens", [1, 4])
+def test_featurizer_equals_the_oracles_across_small_blocks(block_tokens):
+    """Documents, and single documents longer than a block, fall on block
+    edges: the results must not move."""
+    with mock.patch.object(features, "BLOCK_TOKENS", block_tokens):
+        test_vocabulary_equals_the_first_seen_oracle()
+        test_transforms_equal_the_per_document_oracle()

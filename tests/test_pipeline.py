@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,11 +16,14 @@ from clinconv import (
     ConfigError,
     ParseError,
     PipelineConfig,
+    ValidationError,
+    apply_filter,
     derive_diagnosis_labels,
     expected_input_agnostic_row,
     input_agnostic_row,
     load_pipeline,
     load_scores,
+    parse_strategy,
     prevalence_truth_matrix,
     run_pipeline,
     save_pipeline,
@@ -35,10 +40,11 @@ from clinconv.linear import (
     ovr_proba_matrix,
     predict_proba_matrix,
 )
+from clinconv import features
+from clinconv.filtering import select_utterances
 from clinconv.metrics import METRIC_NAMES
 from clinconv.pipeline import (
     HashedTokenEncoder,
-    assemble_filtered_segments,
     chunk_and_pool,
     input_agnostic_predict,
     micro_f1_optimal_prefix,
@@ -84,14 +90,103 @@ def test_scores_are_probabilities(trained_pipeline):
     assert tuple(scores.labels) == derivation.space.labels
 
 
-def test_pipeline_save_load_reproduces_scores(tmp_path, trained_pipeline):
-    corpus, _, pipeline = trained_pipeline
-    path = tmp_path / "pipeline.json"
-    save_pipeline(path, pipeline)
-    loaded = load_pipeline(path)
-    original = run_pipeline(pipeline, corpus.transcripts[:10])
-    replayed = run_pipeline(loaded, corpus.transcripts[:10])
-    np.testing.assert_allclose(replayed.scores, original.scores, atol=1e-15)
+BACKENDS = ("logistic", "naive_bayes", "encoder")
+STRATEGIES = (
+    "none",
+    "umls",
+    "pred:diagnosis",
+    "union:umls+pred:diagnosis",
+    "f2k:umls+pred:diagnosis",
+)
+
+
+@pytest.fixture(scope="module")
+def strategy_pipelines(small_corpus, lexicon, diagnosis_map):
+    """A filter and one trained pipeline per backend x strategy, trained on
+    the first 40 transcripts; the other 20 are held out."""
+    pairs = small_corpus.pairs()
+    train = pairs[:40]
+    derivation = derive_diagnosis_labels(train)
+    fm = train_filter(
+        train, "diagnosis", labels=derivation.space.labels, merge_map=derivation.merge_map
+    )
+    pipelines = {
+        (backend, strategy): train_pipeline(
+            PipelineConfig(task="diagnosis", backend=backend, strategy=strategy, encoder_dim=16),
+            [t for t, _ in train],
+            derivation.matrix,
+            filter_model=fm,
+            lexicon=lexicon,
+            task_map=diagnosis_map,
+        )
+        for backend in BACKENDS
+        for strategy in STRATEGIES
+    }
+    return [t for t, _ in pairs[40:]], fm, pipelines
+
+
+@pytest.mark.parametrize("block_tokens", [features.BLOCK_TOKENS, 40])
+def test_batch_scores_equal_single_visit_scores(strategy_pipelines, block_tokens):
+    """Scoring in groups of transcripts is scoring each visit alone, bit for
+    bit; at 40 tokens a group holds a single transcript or part of one.
+
+    The encoder backend's rows are dense, and BLAS sums a row of a many-row
+    matrix-vector product in another order than the same row alone, so its
+    scores may differ in the last bits; they are held to 8 ulp.
+    """
+    heldout, _, pipelines = strategy_pipelines
+    with mock.patch.object(features, "BLOCK_TOKENS", block_tokens):
+        for (backend, strategy), pipeline in pipelines.items():
+            batch = run_pipeline(pipeline, heldout).scores
+            alone = np.vstack([run_pipeline(pipeline, [t]).scores for t in heldout])
+            if backend == "encoder":
+                np.testing.assert_array_max_ulp(batch, alone, maxulp=8)
+            else:
+                assert np.array_equal(batch, alone), (backend, strategy)
+
+
+@pytest.mark.parametrize("block_tokens", [features.BLOCK_TOKENS, 40])
+def test_batched_selections_equal_apply_filter(strategy_pipelines, lexicon, diagnosis_map, block_tokens):
+    heldout, fm, _ = strategy_pipelines
+    with mock.patch.object(features, "BLOCK_TOKENS", block_tokens):
+        for text in STRATEGIES:
+            strategy = parse_strategy(text)
+            batched = select_utterances(strategy, heldout, fm, lexicon, diagnosis_map)
+            for transcript, (indices, tokens) in zip(heldout, batched, strict=True):
+                assert tokens == [tokenize(u.text) for u in transcript.utterances]
+                alone = apply_filter(strategy, transcript, fm, lexicon, diagnosis_map)
+                assert indices == alone, (text, transcript.id)
+
+
+def test_pipeline_save_load_reproduces_scores(tmp_path, strategy_pipelines):
+    """train -> save -> load -> run gives the same scores, bit for bit."""
+    heldout, _, pipelines = strategy_pipelines
+    for (backend, strategy), pipeline in pipelines.items():
+        path = tmp_path / f"{backend}-{strategy.replace(':', '_')}.json"
+        save_pipeline(path, pipeline)
+        original = run_pipeline(pipeline, heldout).scores
+        assert np.array_equal(run_pipeline(load_pipeline(path), heldout).scores, original), (
+            backend,
+            strategy,
+        )
+
+
+def test_a_batch_tokenizes_each_utterance_once(monkeypatch, strategy_pipelines):
+    """The filter, the tagger and the featurizer share one token pass."""
+    heldout, _, pipelines = strategy_pipelines
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return tokenize(text)
+
+    modules = [m for name, m in sys.modules.items() if name.startswith("clinconv")]
+    holders = [m for m in modules if getattr(m, "tokenize", None) is tokenize]
+    assert features in holders and len(holders) > 2
+    for module in holders:
+        monkeypatch.setattr(module, "tokenize", counted)
+    run_pipeline(pipelines["logistic", "f2k:umls+pred:diagnosis"], heldout)
+    assert sorted(calls) == sorted(u.text for t in heldout for u in t.utterances)
 
 
 def test_pipeline_file_format_guard(tmp_path):
@@ -284,15 +379,24 @@ def test_encoder_backend_is_deterministic(small_corpus):
     )
 
 
-def test_assemble_filtered_text_orders_and_bounds(small_corpus):
-    transcript = small_corpus.transcripts[0]
-    segments = assemble_filtered_segments(transcript, [2, 0])
-    assert segments == assemble_filtered_segments(transcript, [0, 2, 2])
-    assert segments == [tokenize(transcript.utterances[i].text) for i in (0, 2)]
-    from clinconv import ValidationError
-
-    with pytest.raises(ValidationError):
-        assemble_filtered_segments(transcript, [len(transcript)])
+def test_indices_override_orders_and_bounds(trained_pipeline):
+    """Provided indices are read in ascending order without repeats, and one
+    outside its transcript is rejected."""
+    corpus, _, pipeline = trained_pipeline
+    sample = corpus.transcripts[:3]
+    first = sample[0]
+    scrambled = {t.id: [2, 0, 2] for t in sample}
+    plain = {t.id: [0, 2] for t in sample}
+    assert np.array_equal(
+        run_pipeline(pipeline, sample, scrambled).scores,
+        run_pipeline(pipeline, sample, plain).scores,
+    )
+    docs = [[tokenize(t.utterances[i].text) for i in (0, 2)] for t in sample]
+    expected = ovr_proba_matrix(pipeline.ovr, oracle_tfidf(pipeline.vocab, docs))
+    assert np.array_equal(run_pipeline(pipeline, sample, plain).scores, expected)
+    for bad in (len(first), -1):
+        with pytest.raises(ValidationError, match="outside transcript"):
+            run_pipeline(pipeline, [first], {first.id: [0, bad]})
 
 
 # ---------------------------------------------------------------------------
