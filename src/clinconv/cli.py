@@ -24,6 +24,8 @@ import numpy as np
 
 from . import __version__
 from .annotations import (
+    apply_diagnosis_labels,
+    apply_ros_labels,
     derive_diagnosis_labels,
     derive_ros_labels,
     load_label_matrix,
@@ -75,6 +77,11 @@ from .synth import GenConfig, corpus_stats, generate, save_truths
 from .transcripts import load_transcripts, save_transcripts
 
 CONFIG_ENV_VAR = "CLINCONV_CONFIG"
+
+# Settings with one value in use. The library functions still take them.
+MERGE_TOP_K = 20  # derive-labels: raw diagnosis tags merged by substring
+MIN_RATE = 0.05  # derive-labels: a ROS system needs more than this share of examples
+SWEEP_METRIC = "micro_f1"  # sweep: the aggregate metric that picks the best threshold
 
 
 class _UsageError(Exception):
@@ -222,20 +229,36 @@ def cmd_ingest(args) -> None:
 
 def cmd_derive_labels(args) -> None:
     pairs, warnings = _ordered_pairs(args.transcripts, args.notes)
-    if args.task == "diagnosis":
+    if args.space:
+        matrix, merge_map = _apply_space(args.space, args.task, pairs)
+    elif args.task == "diagnosis":
         derivation = derive_diagnosis_labels(
-            pairs, label_count=args.label_count, merge_top_k=args.merge_top_k
+            pairs, label_count=args.label_count, merge_top_k=MERGE_TOP_K
         )
-        save_label_matrix(args.out, derivation.matrix, derivation.merge_map)
+        matrix, merge_map = derivation.matrix, derivation.merge_map
     else:
-        derivation = derive_ros_labels(pairs, min_rate=args.min_rate)
-        save_label_matrix(args.out, derivation.matrix)
-    _write_manifest(args, [args.transcripts, args.notes])
+        matrix, merge_map = derive_ros_labels(pairs, min_rate=MIN_RATE).matrix, None
+    save_label_matrix(args.out, matrix, merge_map)
+    _write_manifest(args, [args.transcripts, args.notes, args.space])
     _print_warnings(warnings)
-    space = derivation.space
-    print(f"{args.task}: {len(space.labels)} labels over {len(pairs)} examples")
-    for label, prevalence in zip(space.labels, space.train_prevalence):
+    labels = matrix.space.labels
+    print(f"{args.task}: {len(labels)} labels over {len(pairs)} examples")
+    for label, prevalence in zip(labels, matrix.values.sum(axis=0) / max(len(pairs), 1)):
         print(f"  {label}: {prevalence:.4f}")
+
+
+def _apply_space(space_path: str, task: str, pairs):
+    """Label ``pairs`` in the frozen label space (and merge map) of a label file."""
+    frozen, merge_map = load_label_matrix(space_path)
+    if frozen.space.task != task:
+        raise ConfigError(
+            f"{space_path}: label space task {frozen.space.task!r} does not match --task {task!r}"
+        )
+    if task == "ros":
+        return apply_ros_labels(pairs, frozen.space), None
+    if merge_map is None:
+        raise ConfigError(f"{space_path}: a diagnosis label space needs its merge_map")
+    return apply_diagnosis_labels(pairs, frozen.space, merge_map), merge_map
 
 
 def cmd_build_lexicon(args) -> None:
@@ -289,7 +312,6 @@ def cmd_train_filter(args) -> None:
         labels=labels,
         merge_map=merge_map,
         threshold=args.threshold,
-        reg_c=args.reg_c,
         min_df=args.min_df,
     )
     atomic_write_text(args.out, json.dumps(filter_to_record(fm), indent=2) + "\n")
@@ -468,7 +490,7 @@ def cmd_sweep(args) -> None:
         raise ConfigError(f"--grid {args.grid!r}: {exc}") from None
 
     config = PipelineConfig(
-        task=train_matrix.space.task, strategy="none", reg_c=args.reg_c, min_df=args.min_df
+        task=train_matrix.space.task, strategy="none", min_df=args.min_df
     )
     n_train = len(train_transcripts)
     # threshold_sweep calls evaluate once per grid value, in ascending order.
@@ -502,12 +524,12 @@ def cmd_sweep(args) -> None:
         points.append({"threshold": point.threshold, **detail, "metrics": point.metrics})
         print(
             f"threshold={point.threshold:g} selected={detail['mean_selected']:.2f} "
-            f"{args.metric}={point.metrics.get(args.metric, 0.0):.4f}"
+            f"{SWEEP_METRIC}={point.metrics.get(SWEEP_METRIC, 0.0):.4f}"
         )
-    best = max(points, key=lambda p: p["metrics"].get(args.metric, 0.0))
+    best = max(points, key=lambda p: p["metrics"].get(SWEEP_METRIC, 0.0))
     record = {
         "task": train_matrix.space.task,
-        "metric": args.metric,
+        "metric": SWEEP_METRIC,
         "grid": grid,
         "best_threshold": best["threshold"],
         "points": points,
@@ -515,7 +537,7 @@ def cmd_sweep(args) -> None:
     atomic_write_text(args.out, json.dumps(record, indent=2) + "\n")
     inputs = [args.train_transcripts, args.train_labels, args.test_transcripts, args.test_labels]
     _write_manifest(args, [*inputs, args.filter])
-    print(f"best {args.metric} at threshold {best['threshold']:g} -> {args.out}")
+    print(f"best {SWEEP_METRIC} at threshold {best['threshold']:g} -> {args.out}")
 
 
 # ---------------------------------------------------------------------------
@@ -548,8 +570,8 @@ def build_parser() -> _Parser:
     p.add_argument("--task", choices=("diagnosis", "ros"), required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--label-count", type=int, default=15, help="diagnosis only")
-    p.add_argument("--merge-top-k", type=int, default=20, help="diagnosis only")
-    p.add_argument("--min-rate", type=float, default=0.05, help="ros only")
+    p.add_argument("--space", help="label file whose label space (and merge map) to apply, "
+                   "e.g. the training labels when labeling held-out data")
     p.set_defaults(handler=cmd_derive_labels)
 
     p = sub.add_parser("build-lexicon", help="validate and normalize a concept lexicon")
@@ -575,7 +597,6 @@ def build_parser() -> _Parser:
     p.add_argument("--threshold", type=float,
                    help="selection threshold stored with the filter "
                         "(defaults: all 0.4, diagnosis 0.1, ros 0.02)")
-    p.add_argument("--reg-c", type=float, default=1.0)
     p.add_argument("--min-df", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_train_filter)
@@ -641,8 +662,6 @@ def build_parser() -> _Parser:
     p.add_argument("--test-labels", required=True)
     p.add_argument("--filter", required=True)
     p.add_argument("--grid", required=True, help="comma-separated thresholds in [0, 1]")
-    p.add_argument("--metric", choices=METRIC_NAMES, default="micro_f1")
-    p.add_argument("--reg-c", type=float, dest="reg_c", default=1.0)
     p.add_argument("--min-df", type=int, dest="min_df", default=2)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_sweep)

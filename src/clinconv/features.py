@@ -5,12 +5,14 @@ are formed inside a segment and never across segment boundaries. A plain list
 of tokens is accepted as a single segment. The transforms take a sequence of
 documents and return one CSR matrix with a row per document.
 
-Fitting and counting walk the documents in blocks of about ``BLOCK_TOKENS``
-tokens. A block holds whole documents; one longer than the budget is a block
-of its own. Inside a block the tokens are interned to integer ids, so that
-unigrams map to columns through an id array and each distinct within-segment
-bigram is spelled out and looked up once. Temporaries stay bounded by the
-block, not by the corpus.
+One pass (:func:`blocks`) checks the documents, lists their segments and
+cuts them, as they are read, into blocks of whole documents holding about
+``BLOCK_TOKENS`` tokens, so temporaries stay bounded by the block, not by the
+corpus. Fitting interns each block's tokens to keep first-seen term order.
+The transforms look tokens up in tables that a :class:`Vocabulary` compiles
+once: a token id for every term and every part of a bigram term, and the
+sorted codes ``left * (n_tokens + 1) + right`` of its bigram terms. No bigram
+is spelled out while counting.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ import re
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import chain, count
+from itertools import chain, count, repeat
+from operator import itemgetter
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,108 +39,146 @@ Doc = Sequence  # Sequence[str] or Sequence[Sequence[str]]
 # that filter selection scores at once.
 BLOCK_TOKENS = 1 << 15
 
+# numpy adds up to this many float64 values in one known order: values in
+# whole blocks of eight go to eight running sums by position mod 8, those are
+# added as a tree, and the rest follow one by one (fewer than eight values are
+# added one by one). Row norms follow that order to stay bit-equal to np.sum.
+_PAIRWISE_MAX = 128
+
 
 def tokenize(text: str) -> list[str]:
     """Lowercased alphanumeric runs; punctuation splits. "COVID-19" -> [covid, 19]."""
     return _TOKEN.findall(text.lower())
 
 
-def _as_segments(doc: Doc) -> list[Sequence[str]]:
-    if not doc:
-        return []
-    if isinstance(doc[0], str):
-        return [doc]
-    return list(doc)
-
-
-@dataclass
+@dataclass(frozen=True)
 class Vocabulary:
+    """Terms with their document frequencies, and the lookup tables that
+    the transforms use, built once here."""
+
     terms: list[str]
-    df: np.ndarray  # document frequency per term
+    df: np.ndarray  # document frequency per term, read-only
     n_docs: int
     min_df: int
-    index: dict[str, int] = field(init=False, repr=False)
+    index: dict[str, int] = field(init=False, repr=False, compare=False)
+    # Token ids: term j is token j; parts of bigram terms that are no term
+    # follow. A bigram code is left_id * (len(token_ids) + 1) + right_id.
+    token_ids: dict[str, int] = field(init=False, repr=False, compare=False)
+    bigram_codes: np.ndarray = field(init=False, repr=False, compare=False)  # ascending
+    bigram_columns: np.ndarray = field(init=False, repr=False, compare=False)
+    _idf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.df = np.asarray(self.df, dtype=np.int64)
-        if self.df.shape != (len(self.terms),):
+        df = np.array(self.df, dtype=np.int64)
+        if df.shape != (len(self.terms),):
             raise ValidationError("df length must match terms")
-        self.index = {term: i for i, term in enumerate(self.terms)}
-        if len(self.index) != len(self.terms):
+        index = dict(zip(self.terms, count()))
+        if len(index) != len(self.terms):
             raise ValidationError("vocabulary terms must be unique")
+        columns, lefts, rights = _bigram_splits(self.terms)
+        parts = [part for part in dict.fromkeys(chain(lefts, rights)) if part not in index]
+        # A fitted vocabulary holds the parts of its bigrams, so it shares one dict.
+        token_ids = index | dict(zip(parts, count(len(index)))) if parts else index
+        codes = np.fromiter(map(token_ids.__getitem__, lefts), np.int64, len(lefts))
+        codes *= len(token_ids) + 1
+        codes += np.fromiter(map(token_ids.__getitem__, rights), np.int64, len(rights))
+        order = np.argsort(codes)
+        # Smoothed log ratio, floored at 1 by the +1 term.
+        idf = np.log((1.0 + self.n_docs) / (1.0 + df)) + 1.0
+        for name, value in (
+            ("df", df),
+            ("index", index),
+            ("token_ids", token_ids),
+            ("bigram_codes", codes[order]),
+            ("bigram_columns", np.array(columns, dtype=np.int64)[order]),
+            ("_idf", idf),
+        ):
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return len(self.terms)
 
     def idf(self) -> np.ndarray:
-        # Smoothed log ratio, floored at 1 by the +1 term.
-        return np.log((1.0 + self.n_docs) / (1.0 + self.df)) + 1.0
+        """ln((1 + n_docs) / (1 + df)) + 1 per term, read-only."""
+        return self._idf
+
+
+def _bigram_splits(terms: Sequence[str]) -> tuple[list[int], list[str], list[str]]:
+    """Every split of a term at a space: its column, left part and right part.
+
+    A term with k spaces is the bigram of k (left, right) token pairs; all
+    of them count as that term.
+    """
+    spaces = np.fromiter(map(str.count, terms, repeat(" ")), np.int64, len(terms))
+    columns = np.flatnonzero(spaces == 1).tolist()
+    halves = list(map(str.partition, map(terms.__getitem__, columns), repeat(" ")))
+    lefts = list(map(itemgetter(0), halves))
+    rights = list(map(itemgetter(2), halves))
+    for j in np.flatnonzero(spaces > 1).tolist():
+        parts = terms[j].split(" ")
+        for k in range(1, len(parts)):
+            columns.append(j)
+            lefts.append(" ".join(parts[:k]))
+            rights.append(" ".join(parts[k:]))
+    return columns, lefts, rights
 
 
 @dataclass
-class _Block:
-    """Interned tokens of consecutive whole documents.
+class Block:
+    """Consecutive whole documents, with their segments listed in order.
 
-    ``ids[p]`` is the id of token ``p`` and ``tokens[i]`` the text of id ``i``;
-    ``rows[p]`` is the block-local document of token ``p``. ``bigram_ends``
-    lists the positions that complete a within-segment bigram.
+    Document ``d`` of the block owns ``segments[starts[d]:starts[d + 1]]``.
     """
 
-    n_docs: int
-    tokens: list[str]
-    ids: np.ndarray
-    rows: np.ndarray
-    bigram_ends: np.ndarray
+    docs: list[Doc]
+    segments: list[Sequence[str]]
+    starts: np.ndarray
 
-    def bigram_codes(self) -> np.ndarray:
-        """``a * T + b`` for the bigram (a, b) ending at each of ``bigram_ends``."""
-        ends = self.bigram_ends
-        return self.ids[ends - 1] * len(self.tokens) + self.ids[ends]
-
-    def bigram_terms(self, codes: np.ndarray) -> Iterator[str]:
-        first, second = np.divmod(codes, len(self.tokens))
-        tokens = self.tokens
-        return (f"{tokens[a]} {tokens[b]}" for a, b in zip(first.tolist(), second.tolist()))
-
-
-def _make_block(docs: list[list[Sequence[str]]]) -> _Block:
-    segments = list(chain.from_iterable(docs))
-    flat = list(chain.from_iterable(segments))
-    # dict.fromkeys keeps first-seen order, so ids number tokens as they appear.
-    interned = dict(zip(dict.fromkeys(flat), count()))
-    lengths = np.fromiter(map(len, segments), dtype=np.int64, count=len(segments))
-    segment_rows = np.repeat(
-        np.arange(len(docs)), np.fromiter(map(len, docs), dtype=np.int64, count=len(docs))
-    )
-    n = len(flat)
-    continues = np.ones(n, dtype=bool)
-    continues[(np.cumsum(lengths) - lengths)[lengths > 0]] = False
-    return _Block(
-        n_docs=len(docs),
-        tokens=list(interned),
-        ids=np.fromiter(map(interned.__getitem__, flat), dtype=np.int64, count=n),
-        rows=np.repeat(segment_rows, lengths),
-        bigram_ends=np.flatnonzero(continues),
-    )
+    def tokens(self) -> tuple[list[str], np.ndarray, np.ndarray]:
+        """The block's tokens in order, the block-local document of each, and
+        the positions that complete a within-segment bigram."""
+        offsets = np.zeros(len(self.segments) + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, self.segments), np.int64, len(self.segments)), out=offsets[1:])
+        tokens = list(chain.from_iterable(self.segments))
+        # A segment's first token completes no bigram; the extra slot takes
+        # the end offset and the offsets of trailing empty segments.
+        continues = np.ones(len(tokens) + 1, dtype=bool)
+        continues[offsets] = False
+        rows = np.repeat(np.arange(len(self.docs)), np.diff(offsets[self.starts]))
+        return tokens, rows, np.flatnonzero(continues[:-1])
 
 
-def token_groups(docs: Iterable[list[Sequence[str]]]) -> Iterator[list[list[Sequence[str]]]]:
-    """Consecutive whole segment-list documents, about ``BLOCK_TOKENS`` tokens
-    (and at most that many documents) per group."""
-    group: list[list[Sequence[str]]] = []
+def blocks(docs: Iterable[Doc]) -> Iterator[Block]:
+    """Check ``docs`` and cut them, as they are read, into blocks.
+
+    A block closes once its tokens, plus one per document, reach
+    ``BLOCK_TOKENS``: it holds at most that many documents, and about that
+    many tokens unless one document alone is longer.
+    """
+    if isinstance(docs, str):
+        raise ValidationError("documents must be a sequence, not a string")
+    group: list[Doc] = []
+    segments: list[Sequence[str]] = []
+    starts = [0]
     size = 0
-    for segments in docs:
-        group.append(segments)
-        size += sum(map(len, segments))
-        if size >= BLOCK_TOKENS or len(group) >= BLOCK_TOKENS:
-            yield group
-            group, size = [], 0
+    for i, doc in enumerate(docs):
+        if isinstance(doc, str):
+            raise ValidationError(f"document {i} is a string; pass token lists or segment lists")
+        if doc and isinstance(doc[0], str):
+            segments.append(doc)
+            size += len(doc) + 1
+        else:
+            segments.extend(doc)
+            size += sum(map(len, doc)) + 1
+        group.append(doc)
+        starts.append(len(segments))
+        if size >= BLOCK_TOKENS:
+            yield Block(group, segments, np.array(starts))
+            group, segments, starts, size = [], [], [0], 0
     if group:
-        yield group
-
-
-def _blocks(docs: Iterable[Doc]) -> Iterator[_Block]:
-    return map(_make_block, token_groups(map(_as_segments, docs)))
+        yield Block(group, segments, np.array(starts))
 
 
 def fit_vocabulary(docs: Iterable[Doc], min_df: int = 2) -> Vocabulary:
@@ -151,28 +192,35 @@ def fit_vocabulary(docs: Iterable[Doc], min_df: int = 2) -> Vocabulary:
     term_ids: dict[str, int] = {}
     df = np.zeros(0, dtype=np.int64)
     n_docs = 0
-    for block in _blocks(docs):
-        n_docs += block.n_docs
-        ids, ends, n_ids = block.ids, block.bigram_ends, len(block.tokens)
+    for block in blocks(docs):
+        n_docs += len(block.docs)
+        stream, rows, ends = block.tokens()
+        # dict.fromkeys keeps first-seen order, so ids number tokens as they appear.
+        interned = dict(zip(dict.fromkeys(stream), count()))
+        tokens = list(interned)
+        n_ids = len(tokens)
+        ids = np.fromiter(map(interned.__getitem__, stream), np.int64, len(stream))
         # Ids number tokens as they first appear, so a token is new exactly
         # where the running maximum of the ids steps up.
         token_first = np.flatnonzero(np.diff(np.maximum.accumulate(ids), prepend=-1))
         codes, bigram_first, inverse = np.unique(
-            block.bigram_codes(), return_index=True, return_inverse=True
+            ids[ends - 1] * n_ids + ids[ends], return_index=True, return_inverse=True
         )
+        first, second = np.divmod(codes, n_ids)
+        bigrams = (f"{tokens[a]} {tokens[b]}" for a, b in zip(first.tolist(), second.tolist()))
         # In stream order token p sits at slot 2p and the bigram it completes
         # at slot 2p+1; terms take global ids in order of their first slot.
         slots = np.concatenate([2 * token_first, 2 * ends[bigram_first] + 1])
-        names = [*block.tokens, *block.bigram_terms(codes)]
+        names = [*tokens, *bigrams]
         global_ids = np.empty(len(names), dtype=np.int64)
         for k in np.argsort(slots).tolist():
             global_ids[k] = term_ids.setdefault(names[k], len(term_ids))
         # Each (document, term) pair once, coded row * n_terms + term.
         n_terms = len(term_ids)
         pairs = np.empty(len(ids) + len(ends), dtype=np.int64)
-        np.multiply(block.rows, n_terms, out=pairs[: len(ids)])
+        np.multiply(rows, n_terms, out=pairs[: len(ids)])
         pairs[: len(ids)] += global_ids[ids]
-        np.multiply(block.rows[ends], n_terms, out=pairs[len(ids) :])
+        np.multiply(rows[ends], n_terms, out=pairs[len(ids) :])
         pairs[len(ids) :] += global_ids[n_ids + inverse]
         pairs.sort()
         first_of_pair = np.diff(pairs, prepend=-1) != 0
@@ -188,67 +236,89 @@ def fit_vocabulary(docs: Iterable[Doc], min_df: int = 2) -> Vocabulary:
     return Vocabulary(terms=terms, df=df[keep], n_docs=n_docs, min_df=min_df)
 
 
-def _block_counts(vocab: Vocabulary, block: _Block) -> tuple[np.ndarray, np.ndarray]:
+def _block_counts(vocab: Vocabulary, block: Block) -> tuple[np.ndarray, np.ndarray]:
     """Ascending ``row * len(vocab) + column`` keys of a block and their counts."""
-    index = vocab.index
-    unigram_columns = np.array([index.get(token, -1) for token in block.tokens], dtype=np.int64)
-    codes, inverse = np.unique(block.bigram_codes(), return_inverse=True)
-    bigram_columns = np.fromiter(
-        (index.get(term, -1) for term in block.bigram_terms(codes)),
-        dtype=np.int64,
-        count=len(codes),
-    )
-    # One key per unigram and bigram, built in place; -1 marks a term the
-    # vocabulary lacks, and those sort first.
-    n = len(block.ids)
-    keys = np.empty(n + len(inverse), dtype=np.int64)
-    for part, rows, columns in (
-        (keys[:n], block.rows, unigram_columns[block.ids]),
-        (keys[n:], block.rows[block.bigram_ends], bigram_columns[inverse]),
+    tokens, rows, ends = block.tokens()
+    width, unknown = len(vocab), len(vocab.token_ids)
+    # An unknown token takes id len(token_ids), which is no column, and its
+    # bigram codes, left or right, equal no code of the vocabulary's table.
+    ids = np.fromiter(map(vocab.token_ids.get, tokens, repeat(unknown)), np.int64, len(tokens))
+    unigrams = np.flatnonzero(ids < width)
+    codes = ids[ends - 1] * (unknown + 1) + ids[ends]
+    # Ascending codes search the table about three times faster; the keys
+    # are sorted below, so the order of the positions does not matter.
+    order = np.argsort(codes)
+    codes, ends = codes[order], ends[order]
+    table = vocab.bigram_codes
+    found = np.searchsorted(table, codes)
+    hit = found < len(table)
+    hit[hit] = table[found[hit]] == codes[hit]
+    ends, found = ends[hit], found[hit]
+    keys = np.empty(len(unigrams) + len(ends), dtype=np.int64)
+    for part, part_rows, columns in (
+        (keys[: len(unigrams)], rows[unigrams], ids[unigrams]),
+        (keys[len(unigrams) :], rows[ends], vocab.bigram_columns[found]),
     ):
-        np.multiply(rows, len(vocab), out=part)
+        np.multiply(part_rows, width, out=part)
         part += columns
-        part[columns < 0] = -1
     keys.sort()
-    keys = keys[np.searchsorted(keys, 0) :]
     starts = np.flatnonzero(np.diff(keys, prepend=-1))
     return keys[starts], np.diff(starts, append=len(keys))
+
+
+def _row_sums(squares: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``np.sum`` of each row's consecutive slice of ``squares``, bit for bit.
+
+    Rows of up to ``_PAIRWISE_MAX`` entries are summed together in numpy's
+    own order, padded with zeros, which leave every partial sum unchanged.
+    Longer rows of one length are summed together as a 2-D array. A segment
+    sum such as np.add.reduceat can differ in the last bit.
+    """
+    starts = np.cumsum(lengths) - lengths
+    sums = np.zeros(len(lengths))
+    rows = np.flatnonzero((lengths > 0) & (lengths <= _PAIRWISE_MAX))
+    n, first = lengths[rows], starts[rows]
+    lead = n - n % 8  # the values in whole blocks of eight
+    padded = np.append(squares, 0.0)  # index len(squares) reads a zero
+
+    def gather(begin: np.ndarray, size: np.ndarray, width: int) -> np.ndarray:
+        """Per row, ``width`` values from ``begin``; zeros past ``size`` of them."""
+        offsets = np.arange(width)
+        return padded[np.where(offsets < size[:, None], begin[:, None] + offsets, len(squares))]
+
+    partial = np.zeros((len(rows), 8))
+    for offset in range(0, lead.max(initial=0), 8):
+        partial += gather(first + offset, lead - offset, 8)
+    p = partial.T
+    total = ((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7]))
+    for column in gather(first + lead, n - lead, 7).T:
+        total += column
+    sums[rows] = total
+    for length in np.unique(lengths[lengths > _PAIRWISE_MAX]).tolist():
+        rows = np.flatnonzero(lengths == length)
+        sums[rows] = np.sum(squares[starts[rows, None] + np.arange(length)], axis=1)
+    return sums
 
 
 def _normalize(values: np.ndarray, columns: np.ndarray, lengths: np.ndarray, idf: np.ndarray) -> None:
     """Weight one block's counts by idf and scale each row to unit L2 norm, in place."""
     values *= idf[columns]
-    squares = values**2
-    starts = np.cumsum(lengths) - lengths
-    norms = np.zeros(len(lengths))
-    # Rows of one length are summed together as a 2-D array, one row each:
-    # that equals summing each row's slice alone, bit for bit, where a
-    # segment sum such as np.add.reduceat can differ in the last bit.
-    for length in np.unique(lengths[lengths > 0]).tolist():
-        rows = np.flatnonzero(lengths == length)
-        norms[rows] = np.sqrt(np.sum(squares[starts[rows, None] + np.arange(length)], axis=1))
+    norms = np.sqrt(_row_sums(values**2, lengths))
     norms[~(norms > 0)] = 1.0
     values /= np.repeat(norms, lengths)
 
 
 def _transform(vocab: Vocabulary, docs: Sequence[Doc], idf: np.ndarray | None) -> sp.csr_matrix:
     """Counts per document, or tf-idf rows when ``idf`` is given."""
-    if isinstance(docs, str):
-        raise ValidationError("documents must be a sequence, not a string")
-    for i, doc in enumerate(docs):
-        if isinstance(doc, str):
-            raise ValidationError(
-                f"document {i} is a string; pass token lists or segment lists"
-            )
     width = len(vocab)
     # The buffers become the matrix's own arrays: 32-bit columns where they fit.
     indices = array("i" if width <= np.iinfo(np.int32).max else "q")
     values = array("d")
     indptr = array("q", [0])
-    for block in _blocks(docs):
+    for block in blocks(docs):
         keys, counts = _block_counts(vocab, block)
         rows, columns = np.divmod(keys, max(width, 1))
-        lengths = np.bincount(rows, minlength=block.n_docs)
+        lengths = np.bincount(rows, minlength=len(block.docs))
         weights = counts.astype(np.float64)
         if idf is not None:
             _normalize(weights, columns, lengths, idf)
@@ -279,7 +349,7 @@ def tfidf_transform(vocab: Vocabulary, docs: Sequence[Doc]) -> sp.csr_matrix:
 
     A document with no in-vocabulary terms maps to the zero row.
     """
-    return _transform(vocab, docs, vocab.idf())
+    return _transform(vocab, docs, vocab._idf)
 
 
 def vocabulary_entries(vocab: Vocabulary) -> dict:

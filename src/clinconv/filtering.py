@@ -36,11 +36,12 @@ from .concepts import ConceptLexicon, TaskMap, token_hits
 from .errors import ConfigError, TrainingError
 from .jsonio import Fields, as_fields, build, read_json, read_jsonl, write_jsonl
 from .features import (
+    Block,
     Vocabulary,
+    blocks,
     fit_vocabulary,
     read_vocabulary,
     tfidf_transform,
-    token_groups,
     tokenize,
     vocabulary_entries,
 )
@@ -280,26 +281,26 @@ def select_utterances(
                 f"strategy scope {strategy.scope!r} does not match filter scope "
                 f"{filter_model.scope!r}"
             )
-    groups = token_groups(map(utterance_tokens, transcripts))
     return (
         selection
-        for group in groups
-        for selection in _select_group(strategy, group, filter_model, lexicon, task_map)
+        for block in blocks(map(utterance_tokens, transcripts))
+        for selection in _select_block(strategy, block, filter_model, lexicon, task_map)
     )
 
 
-def _select_group(
+def _select_block(
     strategy: FilterStrategy,
-    group: list[list[list[str]]],
+    block: Block,
     filter_model: FilterModel | None,
     lexicon: ConceptLexicon | None,
     task_map: TaskMap | None,
 ) -> Iterator[tuple[list[int], list[list[str]]]]:
-    probabilities: list = [None] * len(group)
+    probabilities: list = [None] * len(block.docs)
     if strategy.needs_model:
-        scores = _probabilities(filter_model, [words for tokens in group for words in tokens])
-        probabilities = np.split(scores, np.cumsum([len(tokens) for tokens in group])[:-1])
-    for tokens, probs in zip(group, probabilities):
+        # The utterances of a block's transcripts are its segments.
+        scores = _probabilities(filter_model, block.segments)
+        probabilities = np.split(scores, block.starts[1:-1])
+    for tokens, probs in zip(block.docs, probabilities):
         yield _select(strategy, tokens, probs, filter_model, lexicon, task_map), tokens
 
 

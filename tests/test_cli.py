@@ -369,3 +369,70 @@ def test_a_bad_transcript_names_file_and_line(workspace, tmp_path, capsys, edit,
                "--out", tmp_path / "scores.jsonl") == 2
     err = capsys.readouterr().err
     assert f"error: {bad}: line 2: " in err and message in err
+
+
+def test_derive_labels_applies_a_training_space_to_held_out_data(tmp_path, capsys):
+    """ROS skin is confirmed in under 5% of the n=300 seed-8 corpus, so its own
+    space lacks a label of the n=600 seed-7 training space, and evaluating
+    held-out scores against it fails. ``--space`` labels it in the training
+    space, so train -> predict -> evaluate runs."""
+
+    def run(*argv) -> int:
+        return main([str(a) for a in argv])
+
+    corpora = {}
+    for name, n, seed in (("train", 600, 7), ("test", 300, 8)):
+        out = tmp_path / name
+        assert run("synth", "--out-dir", out, "--n", n, "--scale", "desk", "--seed", seed) == 0
+        corpora[name] = ("--transcripts", out / "transcripts.jsonl", "--notes", out / "notes.jsonl")
+    labels = {name: tmp_path / f"{name}.ros.jsonl" for name in ("train", "fresh", "test")}
+    assert run("derive-labels", *corpora["train"], "--task", "ros", "--out", labels["train"]) == 0
+    assert run("derive-labels", *corpora["test"], "--task", "ros", "--out", labels["fresh"]) == 0
+    assert run("derive-labels", *corpora["test"], "--task", "ros",
+               "--space", labels["train"], "--out", labels["test"]) == 0
+    train_space = load_label_matrix(labels["train"])[0].space
+    assert set(load_label_matrix(labels["fresh"])[0].space.labels) < set(train_space.labels)
+    held_out = load_label_matrix(labels["test"])[0]
+    assert held_out.space.labels == train_space.labels
+    assert np.array_equal(held_out.space.train_prevalence, train_space.train_prevalence)
+
+    pipeline, scores = tmp_path / "pipe.json", tmp_path / "scores.jsonl"
+    assert run("train", "--transcripts", tmp_path / "train" / "transcripts.jsonl",
+               "--labels", labels["train"], "--out", pipeline) == 0
+    assert run("predict", "--pipeline", pipeline,
+               "--transcripts", tmp_path / "test" / "transcripts.jsonl", "--out", scores) == 0
+    capsys.readouterr()
+    assert run("evaluate", "--scores", scores, "--labels", labels["fresh"]) == 2
+    assert "score columns and label space differ" in capsys.readouterr().err
+    assert run("evaluate", "--scores", scores, "--labels", labels["test"]) == 0
+
+
+@pytest.mark.parametrize("task", ["diagnosis", "ros"])
+def test_derive_labels_in_its_own_space_rewrites_the_same_file(workspace, tmp_path, task):
+    root, run = workspace
+    corpus = ("--transcripts", root / "corpus" / "transcripts.jsonl",
+              "--notes", root / "corpus" / "notes.jsonl", "--task", task)
+    derived, applied = tmp_path / "derived.jsonl", tmp_path / "applied.jsonl"
+    assert run("derive-labels", *corpus, "--out", derived) == 0
+    assert run("derive-labels", *corpus, "--space", derived, "--out", applied) == 0
+    assert applied.read_bytes() == derived.read_bytes()
+
+
+def test_derive_labels_space_needs_the_task_and_merge_map(workspace, tmp_path, capsys):
+    root, run = workspace
+    corpus = ("--transcripts", root / "corpus" / "transcripts.jsonl",
+              "--notes", root / "corpus" / "notes.jsonl")
+    lines = (root / "diag.jsonl").read_text().splitlines()
+    header = json.loads(lines[0])
+    del header["merge_map"]
+    unmerged = tmp_path / "unmerged.jsonl"
+    unmerged.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+    out = tmp_path / "out.jsonl"
+    for task, space, message in (
+        ("diagnosis", unmerged, "a diagnosis label space needs its merge_map"),
+        ("ros", root / "diag.jsonl", "label space task 'diagnosis' does not match --task 'ros'"),
+    ):
+        capsys.readouterr()
+        assert run("derive-labels", *corpus, "--task", task, "--space", space, "--out", out) == 2
+        assert f"{space}: {message}" in capsys.readouterr().err
+        assert not out.exists()

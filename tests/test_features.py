@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -113,10 +114,22 @@ def test_duplicate_terms_rejected():
         Vocabulary(terms=["a", "a"], df=np.array([1, 1]), n_docs=1, min_df=1)
 
 
+def test_vocabulary_is_immutable():
+    vocab = fit_vocabulary(DOCS, min_df=1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        vocab.terms = ["a"]
+    with pytest.raises(ValueError):
+        vocab.df[0] = 5
+    with pytest.raises(ValueError):
+        vocab.idf()[0] = 5.0
+
+
 @st.composite
 def token_docs(draw):
-    token = st.text(alphabet="abcdef", min_size=1, max_size=3)
-    segment = st.lists(token, min_size=0, max_size=5)
+    """Segments of up to 12 tokens, so rows pass 8 and 16 terms. A token may
+    hold a space, so it can equal a bigram term or one side of a split."""
+    token = st.text(alphabet="abcdef ", min_size=1, max_size=3)
+    segment = st.lists(token, min_size=0, max_size=12)
     return draw(st.lists(st.lists(segment, min_size=0, max_size=4), min_size=1, max_size=6))
 
 
@@ -198,6 +211,41 @@ def test_a_bigram_without_its_unigrams_is_counted():
     X = count_transform(vocab, [[["chest", "pain", "chest", "pain"]], ["a b", "a", "b"]])
     # The token "a b" and the bigram "a b" are the same term.
     assert X.toarray().tolist() == [[2.0, 0.0], [0.0, 2.0]]
+
+
+ODD_DOCS = [
+    [["a", "b", "c"], ["b", "c"], ["", "a"], [" a", "b"]],
+    ["a b", "c", "a", "b c"],
+    [["x", "y"], ["", ""], ["a", "x y", "z"]],
+    [],
+]
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        ["a b c", "a", "b c"],  # two spaces: split after "a" or after "a b"
+        [" a", " a b", "a"],  # a leading space: the empty token, then "a"
+        ["", " ", "a"],  # the empty term, and the bigram of two empty tokens
+        ["x y", "b c"],  # bigrams whose parts are no terms
+        ["a b", "x y z", "b c"],  # tokens that hold a space
+    ],
+)
+def test_odd_terms_equal_the_oracles(terms):
+    vocab = Vocabulary(terms=terms, df=np.arange(1, len(terms) + 1), n_docs=4, min_df=1)
+    assert same_csr(count_transform(vocab, ODD_DOCS), oracle_counts(vocab, ODD_DOCS))
+    assert same_csr(tfidf_transform(vocab, ODD_DOCS), oracle_tfidf(vocab, ODD_DOCS))
+
+
+def test_row_sums_equal_each_rows_own_sum():
+    """Every row length from 1 to 300, shuffled among empty rows: numpy's
+    blocks of eight, its tail of up to seven, and rows past 128 entries."""
+    rng = np.random.default_rng(7)
+    lengths = rng.permutation(np.concatenate([np.arange(301), np.arange(1, 41), [0, 0]]))
+    squares = rng.random(lengths.sum()) ** 2 * rng.choice([1e-6, 1.0, 1e6], lengths.sum())
+    starts = np.cumsum(lengths) - lengths
+    expected = [np.sum(squares[start : start + n]) for start, n in zip(starts, lengths)]
+    assert np.array_equal(features._row_sums(squares, lengths), expected)
 
 
 @pytest.mark.parametrize("block_tokens", [1, 4])
