@@ -136,11 +136,6 @@ class LabelMatrix:
         if self.values.size and self.values.max() > 1:
             raise ValidationError("label matrix entries must be 0 or 1")
 
-    def prevalence(self) -> np.ndarray:
-        if not self.example_ids:
-            return np.zeros(len(self.space.labels))
-        return self.values.mean(axis=0)
-
     def row_labels(self, row: int) -> list[str]:
         return [l for l, v in zip(self.space.labels, self.values[row]) if v]
 

@@ -12,6 +12,7 @@ import os
 import tempfile
 from collections import Counter
 from collections.abc import Iterable, Iterator
+from itertools import repeat
 from pathlib import Path
 from typing import Any
 
@@ -122,7 +123,7 @@ class Fields:
 
     def strings(self, key: str) -> list[str]:
         value = self.get(key, list)
-        if not all(isinstance(item, str) for item in value):
+        if not all(map(isinstance, value, repeat(str))):
             raise self.fail(f"{self._key_path(key)} must be a list of strings")
         return value
 

@@ -18,7 +18,6 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import minimize
 from scipy.special import expit, logsumexp
 
 from .errors import TrainingError
@@ -116,6 +115,10 @@ def train_logistic(
     Accepts a scipy sparse matrix or a dense array. A constant target column
     short-circuits to the prior-only model.
     """
+    # Imported here, so that the large scipy.optimize stays out of every
+    # command that only scores.
+    from scipy.optimize import minimize
+
     if reg_c <= 0:
         raise TrainingError("reg_c must be positive")
     X = _as_matrix(X)

@@ -20,7 +20,6 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import ValidationError
 
@@ -95,15 +94,32 @@ class AucReport:
     micro_valid: bool
 
 
+def midranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``values``; tied values share the mean of their ranks.
+
+    The values at sorted positions ``start`` to ``end - 1`` that tie all get
+    ``(start + end + 1) / 2``, an exact half-integer.
+    """
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    ends = np.append(starts[1:], values.size)
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def rank_auc(scores: np.ndarray, truth: np.ndarray) -> tuple[float, bool]:
     """Midrank AUC for one binary column. Returns (auc, had_both_classes)."""
     scores = np.asarray(scores, dtype=float).ravel()
     truth = np.asarray(truth).ravel()
+    if not np.all(np.isfinite(scores)):
+        raise ValidationError("scores contain non-finite values")
     n_pos = int(np.sum(truth == 1))
     n_neg = truth.size - n_pos
     if n_pos == 0 or n_neg == 0:
         return 0.5, False
-    ranks = rankdata(scores)
+    ranks = midranks(scores)
     pos_rank_sum = float(np.sum(ranks[truth == 1]))
     auc = (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
     return float(auc), True

@@ -70,6 +70,10 @@ def validate_transcript(transcript: Transcript) -> None:
                 f"transcript {transcript.id!r} utterance {index}: start_ms decreases "
                 f"({utt.start_ms} after {previous_ms})"
             )
+        if not isinstance(utt.text, str):
+            raise ValidationError(
+                f"transcript {transcript.id!r} utterance {index}: text must be a string"
+            )
         if not utt.text or not utt.text.strip():
             raise ValidationError(
                 f"transcript {transcript.id!r} utterance {index}: empty text"
@@ -95,6 +99,8 @@ def parse_transcript(
         for name in record.keys() - _TRANSCRIPT_FIELDS:
             warnings.note("transcript", name)
 
+    if not isinstance(record["id"], str):
+        raise ParseError("'id' must be a string", line_number)
     raw_utterances = record["utterances"]
     if not isinstance(raw_utterances, list):
         raise ParseError("'utterances' must be a list", line_number)
@@ -115,7 +121,7 @@ def parse_transcript(
             Utterance(speaker=item["speaker"], start_ms=item["start_ms"], text=item["text"])
         )
 
-    transcript = Transcript(id=str(record["id"]), utterances=utterances)
+    transcript = Transcript(id=record["id"], utterances=utterances)
     validate_transcript(transcript)
     return transcript
 

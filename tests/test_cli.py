@@ -12,6 +12,7 @@ import pytest
 
 from clinconv import load_indices, load_label_matrix, load_scores
 from clinconv.cli import build_parser, main
+from clinconv.metrics import auc_scores
 from clinconv.pipeline import CONFIG_KINDS, PipelineConfig
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "clinconv" / "data"
@@ -306,6 +307,59 @@ def test_ingest_rejects_a_note_for_an_unknown_transcript(workspace, tmp_path, ca
     assert not (tmp_path / "out" / "notes.jsonl").exists()
 
 
+def test_ingest_writes_a_canonical_copy_and_counts_unknown_fields(workspace, tmp_path, capsys):
+    root, run = workspace
+    corpus = root / "corpus"
+    assert run("ingest", "--transcripts", corpus / "transcripts.jsonl",
+               "--notes", corpus / "notes.jsonl", "--out-dir", tmp_path / "same") == 0
+    for name in ("transcripts.jsonl", "notes.jsonl"):
+        assert (tmp_path / "same" / name).read_bytes() == (corpus / name).read_bytes()
+    assert "ignored unknown fields" not in capsys.readouterr().err
+    records = [json.loads(line) for line in (corpus / "transcripts.jsonl").read_text().splitlines()]
+    records[0]["session"] = "am"
+    for utterance in records[1]["utterances"][:2]:
+        utterance["confidence"] = 0.9
+    extra = tmp_path / "extra.jsonl"
+    extra.write_text("".join(json.dumps(record) + "\n" for record in records))
+    assert run("ingest", "--transcripts", extra, "--out-dir", tmp_path / "extra") == 0
+    assert "ignored unknown fields: transcript.session x1, utterance.confidence x2" in (
+        capsys.readouterr().err
+    )
+    copy = tmp_path / "extra" / "transcripts.jsonl"
+    assert copy.read_bytes() == (corpus / "transcripts.jsonl").read_bytes()
+
+
+def test_evaluate_markdown_auc_cells_equal_auc_scores(workspace, tmp_path, capsys):
+    root, run = workspace
+    transcripts, scores_path = root / "corpus" / "transcripts.jsonl", tmp_path / "scores.jsonl"
+    assert run("train", "--transcripts", transcripts, "--labels", root / "diag.jsonl",
+               "--out", tmp_path / "pipe.json") == 0
+    assert run("predict", "--pipeline", tmp_path / "pipe.json", "--transcripts", transcripts,
+               "--out", scores_path) == 0
+    capsys.readouterr()
+    assert run("evaluate", "--scores", scores_path, "--labels", root / "diag.jsonl",
+               "--markdown") == 0
+    header, tables = None, {}
+    for line in capsys.readouterr().out.splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if not line.startswith("|"):
+            header = None
+        elif header is None:
+            header = cells
+        elif not line.startswith("|---"):
+            tables[cells[0]] = dict(zip(header, cells))
+    scores = load_scores(scores_path)
+    matrix, _ = load_label_matrix(root / "diag.jsonl")
+    row_of = {tid: i for i, tid in enumerate(scores.example_ids)}
+    aligned = scores.scores[[row_of[tid] for tid in matrix.example_ids]]
+    assert list(scores.labels) == list(matrix.space.labels)
+    report = auc_scores(aligned, matrix.values)
+    assert tables["model"]["macro_auc"] == f"{report.macro_auc:.4f}"
+    assert tables["model"]["micro_auc"] == f"{report.micro_auc:.4f}"
+    for label, auc in zip(matrix.space.labels, report.auc):
+        assert tables[label]["auc"] == f"{auc:.4f}"
+
+
 def test_config_values_of_the_wrong_type_name_file_and_key(workspace, tmp_path, capsys):
     root, run = workspace
     synth_config = tmp_path / "gen.json"
@@ -350,8 +404,10 @@ def test_artifact_without_a_written_key_exits_2(workspace, tmp_path, capsys, art
         (lambda r: r["utterances"][0].update(speaker="nurse"), "unknown speaker 'nurse'"),
         (lambda r: r.pop("utterances"), "transcript record missing field 'utterances'"),
         (lambda r: r.update(id="first"), "duplicate transcript id 'first'"),
+        (lambda r: r["utterances"][1].update(text=7), "utterance 1: text must be a string"),
+        (lambda r: r.update(id=7), "'id' must be a string"),
     ],
-    ids=["unknown-speaker", "missing-field", "duplicate-id"],
+    ids=["unknown-speaker", "missing-field", "duplicate-id", "numeric-text", "numeric-id"],
 )
 def test_a_bad_transcript_names_file_and_line(workspace, tmp_path, capsys, edit, message):
     root, run = workspace

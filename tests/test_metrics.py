@@ -14,6 +14,7 @@ from clinconv.metrics import (
     cell_accuracy,
     f1_scores,
     markdown_table,
+    midranks,
     precision_at_1,
     rank_auc,
 )
@@ -82,6 +83,39 @@ def test_degenerate_auc_column_is_half_and_flagged():
         truth = np.full((3, 1), constant)
         auc, valid = rank_auc(scores[:, 0], truth[:, 0])
         assert auc == 0.5 and not valid
+
+
+# Few distinct values, so most vectors hold ties; -0.0 ties with 0.0.
+tie_heavy = st.lists(
+    st.sampled_from([-1e300, -2.5, -0.0, 0.0, 0.25, 1.0, 1e-300, 7.0]), min_size=1, max_size=60
+)
+any_finite = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=60)
+
+
+@given(st.one_of(tie_heavy, any_finite))
+@settings(max_examples=400, deadline=None)
+def test_midranks_equal_scipy_rankdata(values):
+    from scipy.stats import rankdata
+
+    values = np.array(values)
+    assert np.array_equal(midranks(values), rankdata(values))
+
+
+@pytest.mark.parametrize("values", [[0.3], [0.5] * 9, [2.0, 2.0], [-0.0, 0.0, -0.0]])
+def test_midranks_of_one_value_and_of_all_equal_values(values):
+    from scipy.stats import rankdata
+
+    values = np.array(values)
+    assert np.array_equal(midranks(values), rankdata(values))
+    assert np.array_equal(midranks(values), np.full(len(values), (len(values) + 1) / 2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rank_auc_rejects_non_finite_scores(bad):
+    with pytest.raises(ValidationError, match="non-finite"):
+        rank_auc(np.array([0.2, bad, 0.5]), np.array([0, 1, 1]))
+    with pytest.raises(ValidationError, match="non-finite"):
+        rank_auc(np.array([0.2, bad]), np.array([1, 1]))
 
 
 def test_macro_auc_skips_degenerate_labels():
