@@ -53,7 +53,6 @@ from .errors import (
 )
 from .features import (
     Vocabulary,
-    count_transform,
     fit_vocabulary,
     tfidf_transform,
     tokenize,
@@ -73,10 +72,8 @@ from .filtering import (
 )
 from .linear import (
     LogisticModel,
-    NaiveBayesModel,
     OneVsRestModel,
     train_logistic,
-    train_naive_bayes,
     train_ovr,
 )
 from .metrics import EvalReport, evaluate_matrix

@@ -165,6 +165,20 @@ def _load_lexicon(lexicon_path: str | None, task_map_path: str | None):
     return lexicon, task_map
 
 
+def _load_override(indices_path: str | None, transcripts) -> dict[str, list[int]] | None:
+    """The selections of an ``--indices`` file, each for a transcript given."""
+    if not indices_path:
+        return None
+    override = load_indices(indices_path)
+    known = {t.id for t in transcripts}
+    unknown = [i for i in override if i not in known]
+    if unknown:
+        raise ValidationError(
+            f"{indices_path}: {len(unknown)} ids name no transcript, e.g. {unknown[:3]}"
+        )
+    return override
+
+
 def _print_warnings(warnings: FieldWarnings) -> None:
     if warnings.total:
         counts = ", ".join(f"{k} x{v}" for k, v in warnings.summary().items())
@@ -373,7 +387,7 @@ def cmd_train(args) -> None:
 
     fm = load_filter(args.filter) if args.filter else None
     lexicon, task_map = _load_lexicon(args.lexicon, args.task_map)
-    override = load_indices(args.indices) if args.indices else None
+    override = _load_override(args.indices, transcripts)
     pipeline = train_pipeline(
         config,
         transcripts,
@@ -387,9 +401,9 @@ def cmd_train(args) -> None:
     inputs = [args.transcripts, args.labels, args.filter, args.lexicon, args.task_map]
     _write_manifest(args, [*inputs, args.indices])
     heads = pipeline.ovr.models
-    n_converged = sum(1 for m in heads if getattr(m, "converged", True))
+    n_converged = sum(1 for m in heads if m.converged)
     print(
-        f"trained {config.backend} pipeline for {config.task} "
+        f"trained pipeline for {config.task} "
         f"({len(heads)} heads, {n_converged} converged, strategy "
         f"{args.strategy or record.get('strategy', 'none')}) -> {args.out}"
     )
@@ -398,7 +412,7 @@ def cmd_train(args) -> None:
 def cmd_predict(args) -> None:
     pipeline = load_pipeline(args.pipeline)
     transcripts = load_transcripts(args.transcripts)
-    override = load_indices(args.indices) if args.indices else None
+    override = _load_override(args.indices, transcripts)
     scores = run_pipeline(pipeline, transcripts, indices_override=override)
     save_scores(args.out, scores)
     _write_manifest(args, [args.pipeline, args.transcripts, args.indices])
@@ -618,11 +632,9 @@ def build_parser() -> _Parser:
     p.add_argument("--transcripts", required=True)
     p.add_argument("--labels", required=True, help="label file from derive-labels")
     p.add_argument("--config", help=f"pipeline config JSON (or ${CONFIG_ENV_VAR})")
-    p.add_argument("--backend", choices=("logistic", "naive_bayes", "encoder"))
     p.add_argument("--strategy")
     p.add_argument("--reg-c", type=float, dest="reg_c")
     p.add_argument("--min-df", type=int, dest="min_df")
-    p.add_argument("--encoder-dim", type=int, dest="encoder_dim")
     p.add_argument("--filter", help="trained filter JSON")
     p.add_argument("--lexicon")
     p.add_argument("--task-map")

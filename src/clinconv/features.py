@@ -2,14 +2,14 @@
 
 A document is a list of token segments (one segment per utterance); bigrams
 are formed inside a segment and never across segment boundaries. A plain list
-of tokens is accepted as a single segment. The transforms take a sequence of
-documents and return one CSR matrix with a row per document.
+of tokens is accepted as a single segment. The transform takes a sequence of
+documents and returns one CSR matrix with a row per document.
 
 One pass (:func:`blocks`) checks the documents, lists their segments and
 cuts them, as they are read, into blocks of whole documents holding about
 ``BLOCK_TOKENS`` tokens, so temporaries stay bounded by the block, not by the
 corpus. Fitting interns each block's tokens to keep first-seen term order.
-The transforms look tokens up in tables that a :class:`Vocabulary` compiles
+The transform looks tokens up in tables that a :class:`Vocabulary` compiles
 once: a token id for every term and every part of a bigram term, and the
 sorted codes ``left * (n_tokens + 1) + right`` of its bigram terms. No bigram
 is spelled out while counting.
@@ -54,7 +54,7 @@ def tokenize(text: str) -> list[str]:
 @dataclass(frozen=True)
 class Vocabulary:
     """Terms with their document frequencies, and the lookup tables that
-    the transforms use, built once here."""
+    the transform uses, built once here."""
 
     terms: list[str]
     df: np.ndarray  # document frequency per term, read-only
@@ -308,8 +308,12 @@ def _normalize(values: np.ndarray, columns: np.ndarray, lengths: np.ndarray, idf
     values /= np.repeat(norms, lengths)
 
 
-def _transform(vocab: Vocabulary, docs: Sequence[Doc], idf: np.ndarray | None) -> sp.csr_matrix:
-    """Counts per document, or tf-idf rows when ``idf`` is given."""
+def tfidf_transform(vocab: Vocabulary, docs: Sequence[Doc]) -> sp.csr_matrix:
+    """TF-IDF with idf = ln((1+n_docs)/(1+df)) + 1, each row L2-normalized.
+
+    Out-of-vocabulary terms are dropped; a document with no in-vocabulary
+    term maps to the zero row. Column indices ascend within each row.
+    """
     width = len(vocab)
     # The buffers become the matrix's own arrays: 32-bit columns where they fit.
     indices = array("i" if width <= np.iinfo(np.int32).max else "q")
@@ -320,8 +324,7 @@ def _transform(vocab: Vocabulary, docs: Sequence[Doc], idf: np.ndarray | None) -
         rows, columns = np.divmod(keys, max(width, 1))
         lengths = np.bincount(rows, minlength=len(block.docs))
         weights = counts.astype(np.float64)
-        if idf is not None:
-            _normalize(weights, columns, lengths, idf)
+        _normalize(weights, columns, lengths, vocab._idf)
         indptr.frombytes((len(indices) + np.cumsum(lengths)).tobytes())
         indices.frombytes(columns.astype(indices.typecode).tobytes())
         values.frombytes(weights.tobytes())
@@ -333,23 +336,6 @@ def _transform(vocab: Vocabulary, docs: Sequence[Doc], idf: np.ndarray | None) -
         ),
         shape=(len(indptr) - 1, width),
     )
-
-
-def count_transform(vocab: Vocabulary, docs: Sequence[Doc]) -> sp.csr_matrix:
-    """Raw in-vocabulary term counts, one row per document.
-
-    Out-of-vocabulary terms are dropped; a document with no in-vocabulary
-    term is a zero row. Column indices ascend within each row.
-    """
-    return _transform(vocab, docs, None)
-
-
-def tfidf_transform(vocab: Vocabulary, docs: Sequence[Doc]) -> sp.csr_matrix:
-    """TF-IDF with idf = ln((1+n_docs)/(1+df)) + 1, each row L2-normalized.
-
-    A document with no in-vocabulary terms maps to the zero row.
-    """
-    return _transform(vocab, docs, vocab._idf)
 
 
 def vocabulary_entries(vocab: Vocabulary) -> dict:

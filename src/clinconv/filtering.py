@@ -355,12 +355,19 @@ def save_indices(path: str | Path, rows: Sequence[tuple[str, Sequence[int]]]) ->
 
 
 def load_indices(path: str | Path) -> dict[str, list[int]]:
+    """Per-transcript selections, each ascending and duplicate-free as
+    :func:`save_indices` writes them; any other order is an error."""
     selections: dict[str, list[int]] = {}
     for row in read_jsonl(path):
         transcript_id = row.get("id", str)
         if transcript_id in selections:
             raise row.fail(f"duplicate transcript id {transcript_id!r}")
-        selections[transcript_id] = row.array("indices", (None,), int).tolist()
+        indices = row.array("indices", (None,), int)
+        if indices.size and indices[0] < 0:
+            raise row.fail("indices must be non-negative")
+        if np.any(np.diff(indices) <= 0):
+            raise row.fail("indices must be ascending and distinct")
+        selections[transcript_id] = indices.tolist()
     return selections
 
 

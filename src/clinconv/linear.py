@@ -6,9 +6,6 @@ quasi-Newton full-batch method. Training stops when the gradient infinity
 norm falls to ``tol`` (default 1e-6) or after ``max_iter`` (default 1000)
 iterations. A single-class target yields the prior-only model: zero weights
 and a bias equal to the observed log-odds clipped to [-15, 15].
-
-The naive Bayes backend is a binary multinomial model with add-one smoothing,
-trained on raw term counts rather than TF-IDF weights.
 """
 
 from __future__ import annotations
@@ -18,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import expit, logsumexp
+from scipy.special import expit
 
 from .errors import TrainingError
 from .jsonio import Fields
@@ -36,17 +33,6 @@ class LogisticModel:
 
     def __post_init__(self) -> None:
         self.weights = np.asarray(self.weights, dtype=np.float64)
-
-
-@dataclass
-class NaiveBayesModel:
-    log_prior: np.ndarray  # [log p(neg), log p(pos)]
-    log_likelihood: np.ndarray  # shape (2, feature width)
-    constant_p: float | None = None  # set for single-class targets
-
-    def __post_init__(self) -> None:
-        self.log_prior = np.asarray(self.log_prior, dtype=np.float64)
-        self.log_likelihood = np.asarray(self.log_likelihood, dtype=np.float64)
 
 
 def _as_matrix(X):
@@ -186,78 +172,26 @@ def predict_proba_matrix(model: LogisticModel, X) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Multinomial naive Bayes (binary, add-one smoothing, raw counts)
-
-
-def train_naive_bayes(X, y) -> NaiveBayesModel:
-    X = _as_matrix(X)
-    _check_finite(X)
-    y = _check_targets(y, X.shape[0])
-    if np.any((X.data if sp.issparse(X) else X) < 0):
-        raise TrainingError("naive Bayes requires non-negative counts")
-
-    dim = X.shape[1]
-    if y.min() == y.max():
-        rate = float(np.mean(y))
-        return NaiveBayesModel(
-            log_prior=np.zeros(2),
-            log_likelihood=np.zeros((2, dim)),
-            constant_p=float(expit(BIAS_CLIP if rate >= 1.0 else -BIAS_CLIP)),
-        )
-
-    log_likelihood = np.zeros((2, dim))
-    log_prior = np.zeros(2)
-    for cls in (0, 1):
-        rows = y == cls
-        counts = np.asarray(X[rows].sum(axis=0)).ravel()
-        smoothed = counts + 1.0
-        log_likelihood[cls] = np.log(smoothed / smoothed.sum())
-        log_prior[cls] = np.log(float(np.sum(rows)) / y.size)
-    return NaiveBayesModel(log_prior=log_prior, log_likelihood=log_likelihood)
-
-
-def naive_bayes_proba_matrix(model: NaiveBayesModel, X) -> np.ndarray:
-    X = _as_matrix(X)
-    if model.constant_p is not None:
-        return np.full(X.shape[0], model.constant_p)
-    joint = np.column_stack(
-        [
-            np.asarray(X @ model.log_likelihood[cls]).ravel() + model.log_prior[cls]
-            for cls in (0, 1)
-        ]
-    )
-    # Normalizing over the two classes keeps each (example, label) pair's
-    # posterior mass summing to one.
-    return np.exp(joint[:, 1] - logsumexp(joint, axis=1))
-
-
-# ---------------------------------------------------------------------------
 # One-vs-rest wrapper
-
-BACKENDS = ("logistic", "naive_bayes")
 
 
 @dataclass
 class OneVsRestModel:
     labels: tuple[str, ...]
-    backend: str
-    models: list = field(default_factory=list)
+    models: list[LogisticModel] = field(default_factory=list)
     reg_c: float = 1.0
 
     def __post_init__(self) -> None:
         self.labels = tuple(self.labels)
-        if self.backend not in BACKENDS:
-            raise TrainingError(f"unknown backend {self.backend!r}")
 
 
 def train_ovr(
     X,
     Y: np.ndarray,
     labels: Sequence[str],
-    backend: str = "logistic",
     reg_c: float = 1.0,
 ) -> OneVsRestModel:
-    """One binary model per label column, trained independently."""
+    """One logistic model per label column, trained independently."""
     X = _as_matrix(X)
     Y = np.asarray(Y)
     if Y.ndim != 2 or Y.shape != (X.shape[0], len(labels)):
@@ -265,22 +199,13 @@ def train_ovr(
             f"label matrix shape {Y.shape} does not match "
             f"({X.shape[0]}, {len(labels)})"
         )
-    if backend == "logistic":
-        fit = lambda j: train_logistic(X, Y[:, j], reg_c=reg_c)
-    elif backend == "naive_bayes":
-        fit = lambda j: train_naive_bayes(X, Y[:, j])
-    else:
-        raise TrainingError(f"unknown backend {backend!r}")
-    models = [fit(j) for j in range(len(labels))]
-    return OneVsRestModel(labels=tuple(labels), backend=backend, models=models, reg_c=reg_c)
+    models = [train_logistic(X, Y[:, j], reg_c=reg_c) for j in range(len(labels))]
+    return OneVsRestModel(labels=tuple(labels), models=models, reg_c=reg_c)
 
 
 def ovr_proba_matrix(model: OneVsRestModel, X) -> np.ndarray:
     """Per-label probabilities, shape (n_examples, n_labels)."""
-    if model.backend == "logistic":
-        columns = [predict_proba_matrix(m, X) for m in model.models]
-    else:
-        columns = [naive_bayes_proba_matrix(m, X) for m in model.models]
+    columns = [predict_proba_matrix(m, X) for m in model.models]
     if not columns:
         return np.zeros((_as_matrix(X).shape[0], 0))
     return np.column_stack(columns)

@@ -1,8 +1,8 @@
 """End-to-end prediction pipelines and input-agnostic baselines.
 
-A pipeline selects utterances with a filter strategy, assembles the selected
-text, featurizes it (transcript-level TF-IDF, raw counts, or a chunk-and-pool
-encoder for long inputs), and scores labels with a one-vs-rest model.
+A pipeline selects utterances with a filter strategy, featurizes the selected
+text of each transcript as one TF-IDF row, and scores labels with one-vs-rest
+logistic regression.
 
 The input-agnostic baselines answer "how far do you get without reading the
 conversation": per metric, the best constant predictor achievable from label
@@ -33,7 +33,6 @@ from .concepts import (
 from .errors import ConfigError, ParseError, ValidationError
 from .features import (
     Vocabulary,
-    count_transform,
     fit_vocabulary,
     read_vocabulary,
     tfidf_transform,
@@ -49,10 +48,8 @@ from .filtering import (
     parse_strategy,
     select_utterances,
 )
-from .jsonio import Fields, atomic_write_text, build, read_json, read_jsonl, write_jsonl
+from .jsonio import atomic_write_text, build, read_json, read_jsonl, write_jsonl
 from .linear import (
-    LogisticModel,
-    NaiveBayesModel,
     OneVsRestModel,
     logistic_from_record,
     logistic_to_record,
@@ -62,11 +59,8 @@ from .linear import (
 from .metrics import METRIC_NAMES, evaluate_matrix
 from .transcripts import Transcript
 
-PIPELINE_BACKENDS = ("logistic", "naive_bayes", "encoder")
-
-# The encoder backend's fixed settings: token-vector seed, chunk length and
-# the token cap applied before chunking.
-ENCODER_SEED = 0
+# chunk_and_pool's defaults: chunk length and the token cap applied before
+# chunking.
 CHUNK_SIZE = 512
 TOKEN_CAP = 2040
 
@@ -131,7 +125,8 @@ def load_scores(path: str | Path) -> ScoreMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Chunk-and-pool encoder adapter
+# Chunk-and-pool encoder adapter, for long inputs. No pipeline uses it;
+# acceptance criterion 08 checks it by hand.
 
 
 class HashedTokenEncoder:
@@ -191,23 +186,17 @@ def chunk_and_pool(
 @dataclass
 class PipelineConfig:
     task: str
-    backend: str = "logistic"
     strategy: FilterStrategy = field(default_factory=lambda: FilterStrategy(kind="none"))
     reg_c: float = 1.0
     min_df: int = 2
-    encoder_dim: int = 64
 
     def __post_init__(self) -> None:
-        if self.backend not in PIPELINE_BACKENDS:
-            raise ConfigError(f"unknown pipeline backend {self.backend!r}")
         if isinstance(self.strategy, str):
             self.strategy = parse_strategy(self.strategy)
         if self.reg_c <= 0:
             raise ConfigError("reg_c must be positive")
         if self.min_df < 1:
             raise ConfigError("min_df must be >= 1")
-        if self.encoder_dim < 1:
-            raise ConfigError("encoder_dim must be >= 1")
 
 
 @dataclass
@@ -215,22 +204,10 @@ class TrainedPipeline:
     config: PipelineConfig
     space: LabelSpace
     ovr: OneVsRestModel
-    vocab: Vocabulary | None = None
+    vocab: Vocabulary
     filter_model: FilterModel | None = None
     lexicon: ConceptLexicon | None = None
     task_map: TaskMap | None = None
-    # Built from the config, never passed in; it caches token vectors for
-    # as long as the pipeline lives.
-    encoder: HashedTokenEncoder | None = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.encoder = _encoder(self.config)
-
-
-def _encoder(config: PipelineConfig) -> HashedTokenEncoder | None:
-    if config.backend != "encoder":
-        return None
-    return HashedTokenEncoder(config.encoder_dim, ENCODER_SEED)
 
 
 def _filtered_segments(
@@ -254,25 +231,11 @@ def _filtered_segments(
         n = len(transcript.utterances)
         indices = sorted(set(int(i) for i in override[transcript.id]))
         if indices and (indices[0] < 0 or indices[-1] >= n):
-            raise ValidationError(f"filtered index outside transcript of {n} utterances")
+            raise ValidationError(
+                f"filtered index outside transcript {transcript.id!r} of {n} utterances"
+            )
         docs.append([tokenize(transcript.utterances[i].text) for i in indices])
     return docs
-
-
-def _featurize(
-    config: PipelineConfig,
-    docs: list[list[list[str]]],
-    vocab: Vocabulary | None,
-    encoder: HashedTokenEncoder | None,
-):
-    if config.backend == "encoder":
-        rows = [
-            chunk_and_pool([token for segment in doc for token in segment], encoder)
-            for doc in docs
-        ]
-        return np.vstack(rows) if rows else np.zeros((0, encoder.dim))
-    transform = tfidf_transform if config.backend == "logistic" else count_transform
-    return transform(vocab, docs)
 
 
 def train_pipeline(
@@ -295,10 +258,9 @@ def train_pipeline(
     docs = _filtered_segments(
         config, transcripts, filter_model, lexicon, task_map, indices_override
     )
-    vocab = None if config.backend == "encoder" else fit_vocabulary(docs, min_df=config.min_df)
-    X = _featurize(config, docs, vocab, _encoder(config))
-    backend = "naive_bayes" if config.backend == "naive_bayes" else "logistic"
-    ovr = train_ovr(X, matrix.values, matrix.space.labels, backend=backend, reg_c=config.reg_c)
+    vocab = fit_vocabulary(docs, min_df=config.min_df)
+    X = tfidf_transform(vocab, docs)
+    ovr = train_ovr(X, matrix.values, matrix.space.labels, reg_c=config.reg_c)
     return TrainedPipeline(
         config=config,
         space=matrix.space,
@@ -328,8 +290,7 @@ def run_pipeline(
         pipeline.task_map,
         indices_override,
     )
-    X = _featurize(pipeline.config, docs, pipeline.vocab, pipeline.encoder)
-    scores = ovr_proba_matrix(pipeline.ovr, X)
+    scores = ovr_proba_matrix(pipeline.ovr, tfidf_transform(pipeline.vocab, docs))
     return ScoreMatrix(
         example_ids=[t.id for t in transcripts],
         labels=pipeline.space.labels,
@@ -341,44 +302,16 @@ def run_pipeline(
 # Pipeline serialization (single self-contained JSON artifact)
 
 
-PIPELINE_FORMAT = "clinconv-pipeline-v1"
+PIPELINE_FORMAT = "clinconv-pipeline-v2"
 
 # The kind of each PipelineConfig field in a config record; the strategy is
 # stored in its string form.
 CONFIG_KINDS = {
     "task": str,
-    "backend": str,
     "strategy": str,
     "reg_c": float,
     "min_df": int,
-    "encoder_dim": int,
 }
-
-
-def _model_record(model) -> dict:
-    if isinstance(model, LogisticModel):
-        return {"type": "logistic", **logistic_to_record(model)}
-    if isinstance(model, NaiveBayesModel):
-        return {
-            "type": "naive_bayes",
-            "log_prior": model.log_prior.tolist(),
-            "log_likelihood": model.log_likelihood.tolist(),
-            "constant_p": model.constant_p,
-        }
-    raise ConfigError(f"cannot serialize model of type {type(model).__name__}")
-
-
-def _model_from_record(fields: Fields):
-    model_type = fields.get("type", str)
-    if model_type == "logistic":
-        return logistic_from_record(fields)
-    if model_type == "naive_bayes":
-        return NaiveBayesModel(
-            log_prior=fields.array("log_prior", (2,)),
-            log_likelihood=fields.array("log_likelihood", (2, None)),
-            constant_p=fields.get("constant_p", float, null=True),
-        )
-    raise fields.fail(f"unknown model type {model_type!r}")
 
 
 def save_pipeline(path: str | Path, pipeline: TrainedPipeline) -> None:
@@ -391,13 +324,11 @@ def save_pipeline(path: str | Path, pipeline: TrainedPipeline) -> None:
         },
         "space": space_to_record(pipeline.space),
         "ovr": {
-            "backend": pipeline.ovr.backend,
             "reg_c": pipeline.ovr.reg_c,
-            "models": [_model_record(m) for m in pipeline.ovr.models],
+            "models": [logistic_to_record(m) for m in pipeline.ovr.models],
         },
+        **vocabulary_entries(pipeline.vocab),
     }
-    if pipeline.vocab is not None:
-        record.update(vocabulary_entries(pipeline.vocab))
     if pipeline.filter_model is not None:
         record["filter"] = filter_to_record(pipeline.filter_model)
     if pipeline.lexicon is not None:
@@ -409,50 +340,25 @@ def save_pipeline(path: str | Path, pipeline: TrainedPipeline) -> None:
     atomic_write_text(path, json.dumps(record) + "\n")
 
 
-def _check_heads(
-    path: str | Path, config: PipelineConfig, ovr: OneVsRestModel, vocab: Vocabulary | None
-) -> None:
-    """One head per label, each fitting the feature width the pipeline will produce."""
-    if len(ovr.models) != len(ovr.labels):
-        raise ConfigError(f"{path}: {len(ovr.models)} heads for {len(ovr.labels)} labels")
-    if config.backend == "encoder":
-        width, against = config.encoder_dim, f"encoder_dim {config.encoder_dim}"
-    elif vocab is None:
-        raise ConfigError(f"{path}: {config.backend} pipeline has no vocabulary")
-    else:
-        width, against = len(vocab), f"vocabulary of {len(vocab)} terms"
-    model_type = LogisticModel if ovr.backend == "logistic" else NaiveBayesModel
-    for label, model in zip(ovr.labels, ovr.models):
-        if not isinstance(model, model_type):
-            raise ConfigError(f"{path}: head {label!r} is not a {ovr.backend} model")
-        if isinstance(model, LogisticModel):
-            name, found, expected = "weights", model.weights.shape, (width,)
-        else:
-            name, found, expected = "log_likelihood", model.log_likelihood.shape, (2, width)
-        if found != expected:
-            raise ConfigError(
-                f"{path}: head {label!r} {name} has shape {found}, "
-                f"expected {expected} for the {against}"
-            )
-
-
 def load_pipeline(path: str | Path) -> TrainedPipeline:
     fields = read_json(path, ConfigError)
-    if fields.get("format", str) != PIPELINE_FORMAT:
-        raise ConfigError(f"{path} is not a pipeline file")
+    found = fields.get("format", str)
+    if found != PIPELINE_FORMAT:
+        raise fields.fail(
+            f"pipeline format {found!r} is not read by this version, which reads "
+            f"{PIPELINE_FORMAT!r}; retrain it with 'clinconv train'"
+        )
     config = build(fields.source, PipelineConfig, **fields.section("config").typed(CONFIG_KINDS))
     space = space_from_record(fields.section("space"))
+    vocab = read_vocabulary(fields)
+    # One head per label, each with a weight per vocabulary term.
     ovr_fields = fields.section("ovr")
-    ovr = build(
-        fields.source,
-        OneVsRestModel,
-        labels=space.labels,
-        backend=ovr_fields.get("backend", str),
-        models=[_model_from_record(m) for m in ovr_fields.records("models")],
-        reg_c=float(ovr_fields.get("reg_c", float)),
+    models = [logistic_from_record(m, len(vocab)) for m in ovr_fields.records("models")]
+    if len(models) != len(space.labels):
+        raise fields.fail(f"{len(models)} heads for {len(space.labels)} labels")
+    ovr = OneVsRestModel(
+        labels=space.labels, models=models, reg_c=float(ovr_fields.get("reg_c", float))
     )
-    vocab = read_vocabulary(fields) if "vocab" in fields else None
-    _check_heads(path, config, ovr, vocab)
     # A section the strategy needs is required; otherwise it is read if present.
     strategy = config.strategy
     filter_model = lexicon = task_map = None

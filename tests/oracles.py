@@ -335,10 +335,6 @@ def rows_to_csr(rows, n_features: int) -> sp.csr_matrix:
     )
 
 
-def oracle_counts(vocab, docs) -> sp.csr_matrix:
-    return rows_to_csr([document_counts(vocab, doc) for doc in docs], len(vocab))
-
-
 def oracle_tfidf(vocab, docs) -> sp.csr_matrix:
     return rows_to_csr([document_tfidf(vocab, doc) for doc in docs], len(vocab))
 

@@ -56,8 +56,9 @@ def artifacts(tmp_path_factory, small_corpus):
     run(*train, "--strategy", "f2k:umls+pred:diagnosis", "--filter", root / "filter.json",
         "--lexicon", root / "lexicon.json", "--task-map", root / "task_map.json",
         "--out", root / "pipe_logistic.json")
-    run(*train, "--backend", "naive_bayes", "--out", root / "pipe_naive_bayes.json")
-    run(*train, "--backend", "encoder", "--encoder-dim", "8", "--out", root / "pipe_encoder.json")
+    run(*train, "--out", root / "pipe_none.json")
+    run(*train, "--strategy", "umls", "--lexicon", root / "lexicon.json",
+        "--out", root / "pipe_umls.json")
     run("predict", "--pipeline", root / "pipe_logistic.json", "--transcripts", transcripts,
         "--out", root / "scores.jsonl")
     run("filter", "--transcripts", few, "--strategy", "pred:diagnosis",
@@ -67,11 +68,11 @@ def artifacts(tmp_path_factory, small_corpus):
     consumers = {
         "filter.json": ("filter", "--transcripts", few, "--strategy", "pred:diagnosis", "--filter"),
         "pipe_logistic.json": predict,
-        "pipe_naive_bayes.json": predict,
-        "pipe_encoder.json": predict,
+        "pipe_none.json": predict,
+        "pipe_umls.json": predict,
         "labels.jsonl": ("evaluate", "--scores", root / "scores.jsonl", "--labels"),
         "scores.jsonl": ("evaluate", "--labels", root / "labels.jsonl", "--scores"),
-        "indices.jsonl": (*predict, root / "pipe_naive_bayes.json", "--indices"),
+        "indices.jsonl": (*predict, root / "pipe_none.json", "--indices"),
         "lexicon.json": ("tag", "--transcripts", few, "--lexicon"),
         "task_map.json": ("tag", "--transcripts", few, "--lexicon", root / "lexicon.json",
                           "--task-map"),
@@ -132,8 +133,8 @@ def mutations(document):
     [
         "filter.json",
         "pipe_logistic.json",
-        "pipe_naive_bayes.json",
-        "pipe_encoder.json",
+        "pipe_none.json",
+        "pipe_umls.json",
         "labels.jsonl",
         "scores.jsonl",
         "indices.jsonl",

@@ -34,6 +34,9 @@ def workspace(tmp_path_factory):
                "--task", "diagnosis", "--out", root / "diag.jsonl") == 0
     assert run("train-filter", "--transcripts", transcripts, "--notes", notes,
                "--scope", "all", "--out", root / "filter.json") == 0
+    assert run("train", "--transcripts", transcripts, "--labels", root / "diag.jsonl",
+               "--strategy", "pred:all", "--filter", root / "filter.json", "--min-df", "1",
+               "--out", root / "pipe.json") == 0
     return root, run
 
 
@@ -378,10 +381,10 @@ def test_config_values_of_the_wrong_type_name_file_and_key(workspace, tmp_path, 
     "artifact, edit, key",
     [
         ("filter.json", lambda r: r.pop("weights"), "no 'weights' key"),
-        ("pipe.json", lambda r: r["ovr"]["models"][0].pop("type"),
-         "'ovr.models[0]' section lacks ['type']"),
+        ("pipe.json", lambda r: r["ovr"]["models"][0].pop("weights"),
+         "'ovr.models[0]' section lacks ['weights']"),
     ],
-    ids=["filter-weights", "head-type"],
+    ids=["filter-weights", "head-weights"],
 )
 def test_artifact_without_a_written_key_exits_2(workspace, tmp_path, capsys, artifact, edit, key):
     root, run = workspace
@@ -492,3 +495,78 @@ def test_derive_labels_space_needs_the_task_and_merge_map(workspace, tmp_path, c
         assert run("derive-labels", *corpus, "--task", task, "--space", space, "--out", out) == 2
         assert f"{space}: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("backend", ["naive_bayes", "encoder"])
+def test_predict_refuses_a_version_1_pipeline_naming_its_format(workspace, tmp_path, capsys, backend):
+    root, run = workspace
+    record = json.loads((root / "pipe.json").read_text())
+    pipeline = tmp_path / "pipe.json"
+    record["format"] = "clinconv-pipeline-v1"
+    record["config"].update(backend=backend, encoder_dim=64)
+    record["ovr"]["backend"] = backend
+    pipeline.write_text(json.dumps(record))
+    capsys.readouterr()
+    assert run("predict", "--pipeline", pipeline, "--transcripts",
+               root / "corpus" / "transcripts.jsonl", "--out", tmp_path / "scores.jsonl") == 2
+    assert f"{pipeline}: pipeline format 'clinconv-pipeline-v1'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("backend", "logistic"), ("encoder_dim", 64)])
+def test_train_config_with_a_removed_key_exits_2(workspace, tmp_path, capsys, key, value):
+    root, run = workspace
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps({key: value, "min_df": 1}))
+    capsys.readouterr()
+    assert run("train", "--transcripts", root / "corpus" / "transcripts.jsonl",
+               "--labels", root / "diag.jsonl", "--config", config,
+               "--out", tmp_path / "pipe.json") == 2
+    assert f"{config}: unknown keys ['{key}']" in capsys.readouterr().err
+    assert not (tmp_path / "pipe.json").exists()
+
+
+def indices_file(root, tmp_path, first_indices) -> Path:
+    """Selections for every workspace transcript; the first one's are given."""
+    ids = [json.loads(line)["id"] for line in (root / "corpus" / "transcripts.jsonl").read_text().splitlines()]
+    rows = [{"id": ids[0], "indices": first_indices}] + [{"id": i, "indices": [0]} for i in ids[1:]]
+    path = tmp_path / "indices.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    return path
+
+
+@pytest.mark.parametrize(
+    "first_indices, message",
+    [
+        ([1, 1, 0], "indices must be ascending and distinct"),
+        ([0, 1, 1], "indices must be ascending and distinct"),
+        ([2, 1], "indices must be ascending and distinct"),
+        ([-1, 0], "indices must be non-negative"),
+    ],
+    ids=["merged", "repeated", "descending", "negative"],
+)
+def test_an_unordered_indices_file_names_file_and_line(workspace, tmp_path, capsys, first_indices, message):
+    root, run = workspace
+    indices = indices_file(root, tmp_path, first_indices)
+    capsys.readouterr()
+    for command, model in (("train", ("--labels", root / "diag.jsonl")),
+                           ("predict", ("--pipeline", root / "pipe.json"))):
+        assert run(command, *model, "--transcripts", root / "corpus" / "transcripts.jsonl",
+                   "--indices", indices, "--out", tmp_path / "out.json") == 2, command
+        assert f"{indices}: line 1: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_an_indices_row_for_no_transcript_exits_2(workspace, tmp_path, capsys):
+    root, run = workspace
+    indices = indices_file(root, tmp_path, [0])
+    with indices.open("a") as handle:
+        handle.write(json.dumps({"id": "nobody", "indices": [0]}) + "\n")
+    capsys.readouterr()
+    for command, model in (("train", ("--labels", root / "diag.jsonl")),
+                           ("predict", ("--pipeline", root / "pipe.json"))):
+        assert run(command, *model, "--transcripts", root / "corpus" / "transcripts.jsonl",
+                   "--indices", indices, "--out", tmp_path / "out.json") == 2, command
+        err = capsys.readouterr().err
+        assert f"{indices}: " in err and "'nobody'" in err, err
+    assert not (tmp_path / "out.json").exists()
+

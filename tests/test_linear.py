@@ -1,4 +1,4 @@
-"""Logistic and naive Bayes trainers against independent oracles."""
+"""The logistic trainer against independent oracles."""
 
 from __future__ import annotations
 
@@ -10,12 +10,10 @@ from clinconv import (
     LogisticModel,
     TrainingError,
     train_logistic,
-    train_naive_bayes,
     train_ovr,
 )
 from clinconv.linear import (
     logistic_objective,
-    naive_bayes_proba_matrix,
     ovr_proba_matrix,
     predict_proba_matrix,
     prior_only_model,
@@ -121,25 +119,6 @@ def test_non_finite_features_rejected():
     X = np.array([[1.0, np.inf], [0.0, 1.0]])
     with pytest.raises(TrainingError):
         train_logistic(X, np.array([0.0, 1.0]))
-
-
-def test_naive_bayes_prefers_class_specific_terms():
-    X = np.array([[3.0, 0.0], [2.0, 1.0], [0.0, 3.0], [1.0, 2.0]])
-    y = np.array([1.0, 1.0, 0.0, 0.0])
-    model = train_naive_bayes(X, y)
-    proba = naive_bayes_proba_matrix(model, np.array([[4.0, 0.0], [0.0, 4.0]]))
-    assert proba[0] > 0.5 > proba[1]
-
-
-def test_naive_bayes_rejects_negative_counts():
-    with pytest.raises(TrainingError):
-        train_naive_bayes(np.array([[-1.0]]), np.array([1.0]))
-
-
-def test_naive_bayes_single_class_is_constant():
-    model = train_naive_bayes(np.ones((4, 2)), np.ones(4))
-    proba = naive_bayes_proba_matrix(model, np.zeros((3, 2)))
-    assert np.all(proba == proba[0]) and proba[0] > 0.999
 
 
 def test_ovr_trains_one_model_per_label(rng):

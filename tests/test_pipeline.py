@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 import sys
 from unittest import mock
 
@@ -34,12 +35,7 @@ from clinconv import (
     train_pipeline,
     utterance_probabilities,
 )
-from clinconv.linear import (
-    LogisticModel,
-    logistic_to_record,
-    ovr_proba_matrix,
-    predict_proba_matrix,
-)
+from clinconv.linear import ovr_proba_matrix, predict_proba_matrix
 from clinconv import features
 from clinconv.filtering import select_utterances
 from clinconv.metrics import METRIC_NAMES
@@ -49,7 +45,7 @@ from clinconv.pipeline import (
     input_agnostic_predict,
     micro_f1_optimal_prefix,
 )
-from oracles import oracle_counts, oracle_tfidf
+from oracles import oracle_tfidf
 
 
 @pytest.fixture(scope="module")
@@ -62,8 +58,8 @@ def trained_pipeline(small_corpus):
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
-        PipelineConfig(task="diagnosis", backend="transformer")
+    with pytest.raises(TypeError):
+        PipelineConfig(task="diagnosis", backend="logistic")
     with pytest.raises(ConfigError):
         PipelineConfig(task="diagnosis", reg_c=0.0)
     with pytest.raises(ConfigError):
@@ -90,7 +86,6 @@ def test_scores_are_probabilities(trained_pipeline):
     assert tuple(scores.labels) == derivation.space.labels
 
 
-BACKENDS = ("logistic", "naive_bayes", "encoder")
 STRATEGIES = (
     "none",
     "umls",
@@ -102,8 +97,8 @@ STRATEGIES = (
 
 @pytest.fixture(scope="module")
 def strategy_pipelines(small_corpus, lexicon, diagnosis_map):
-    """A filter and one trained pipeline per backend x strategy, trained on
-    the first 40 transcripts; the other 20 are held out."""
+    """A filter and one trained pipeline per strategy, trained on the first
+    40 transcripts; the other 20 are held out."""
     pairs = small_corpus.pairs()
     train = pairs[:40]
     derivation = derive_diagnosis_labels(train)
@@ -111,15 +106,14 @@ def strategy_pipelines(small_corpus, lexicon, diagnosis_map):
         train, "diagnosis", labels=derivation.space.labels, merge_map=derivation.merge_map
     )
     pipelines = {
-        (backend, strategy): train_pipeline(
-            PipelineConfig(task="diagnosis", backend=backend, strategy=strategy, encoder_dim=16),
+        strategy: train_pipeline(
+            PipelineConfig(task="diagnosis", strategy=strategy),
             [t for t, _ in train],
             derivation.matrix,
             filter_model=fm,
             lexicon=lexicon,
             task_map=diagnosis_map,
         )
-        for backend in BACKENDS
         for strategy in STRATEGIES
     }
     return [t for t, _ in pairs[40:]], fm, pipelines
@@ -128,21 +122,13 @@ def strategy_pipelines(small_corpus, lexicon, diagnosis_map):
 @pytest.mark.parametrize("block_tokens", [features.BLOCK_TOKENS, 40])
 def test_batch_scores_equal_single_visit_scores(strategy_pipelines, block_tokens):
     """Scoring in groups of transcripts is scoring each visit alone, bit for
-    bit; at 40 tokens a group holds a single transcript or part of one.
-
-    The encoder backend's rows are dense, and BLAS sums a row of a many-row
-    matrix-vector product in another order than the same row alone, so its
-    scores may differ in the last bits; they are held to 8 ulp.
-    """
+    bit; at 40 tokens a group holds a single transcript or part of one."""
     heldout, _, pipelines = strategy_pipelines
     with mock.patch.object(features, "BLOCK_TOKENS", block_tokens):
-        for (backend, strategy), pipeline in pipelines.items():
+        for strategy, pipeline in pipelines.items():
             batch = run_pipeline(pipeline, heldout).scores
             alone = np.vstack([run_pipeline(pipeline, [t]).scores for t in heldout])
-            if backend == "encoder":
-                np.testing.assert_array_max_ulp(batch, alone, maxulp=8)
-            else:
-                assert np.array_equal(batch, alone), (backend, strategy)
+            assert np.array_equal(batch, alone), strategy
 
 
 @pytest.mark.parametrize("block_tokens", [features.BLOCK_TOKENS, 40])
@@ -161,14 +147,11 @@ def test_batched_selections_equal_apply_filter(strategy_pipelines, lexicon, diag
 def test_pipeline_save_load_reproduces_scores(tmp_path, strategy_pipelines):
     """train -> save -> load -> run gives the same scores, bit for bit."""
     heldout, _, pipelines = strategy_pipelines
-    for (backend, strategy), pipeline in pipelines.items():
-        path = tmp_path / f"{backend}-{strategy.replace(':', '_')}.json"
+    for strategy, pipeline in pipelines.items():
+        path = tmp_path / f"{strategy.replace(':', '_')}.json"
         save_pipeline(path, pipeline)
         original = run_pipeline(pipeline, heldout).scores
-        assert np.array_equal(run_pipeline(load_pipeline(path), heldout).scores, original), (
-            backend,
-            strategy,
-        )
+        assert np.array_equal(run_pipeline(load_pipeline(path), heldout).scores, original), strategy
 
 
 def test_a_batch_tokenizes_each_utterance_once(monkeypatch, strategy_pipelines):
@@ -185,14 +168,14 @@ def test_a_batch_tokenizes_each_utterance_once(monkeypatch, strategy_pipelines):
     assert features in holders and len(holders) > 2
     for module in holders:
         monkeypatch.setattr(module, "tokenize", counted)
-    run_pipeline(pipelines["logistic", "f2k:umls+pred:diagnosis"], heldout)
+    run_pipeline(pipelines["f2k:umls+pred:diagnosis"], heldout)
     assert sorted(calls) == sorted(u.text for t in heldout for u in t.utterances)
 
 
 def test_pipeline_file_format_guard(tmp_path):
     path = tmp_path / "other.json"
     path.write_text('{"format": "something-else"}\n')
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="pipeline format 'something-else'"):
         load_pipeline(path)
 
 
@@ -283,45 +266,55 @@ def tamper(tmp_path, pipeline, edit):
     return path
 
 
-def test_naive_bayes_artifact_shapes_checked_at_load(tmp_path, small_corpus):
-    derivation = derive_diagnosis_labels(small_corpus.pairs())
-    config = PipelineConfig(task="diagnosis", backend="naive_bayes", min_df=2)
-    pipeline = train_pipeline(config, small_corpus.transcripts, derivation.matrix)
+def test_naive_bayes_artifact_shapes_checked_at_load(tmp_path, trained_pipeline):
+    """Only logistic heads are read: a naive-Bayes head, a missing head or a
+    missing vocabulary is rejected at load, naming the file."""
+    pipeline = trained_pipeline[2]
 
-    def drop_column(record):
-        head = record["ovr"]["models"][0]
-        head["log_likelihood"] = [row[:-1] for row in head["log_likelihood"]]
-
-    def short_prior(record):
-        head = record["ovr"]["models"][0]
-        head["log_prior"] = head["log_prior"][:1]
-
-    def logistic_head(record):
+    def naive_bayes_head(record):
         width = len(record["vocab"]["terms"])
-        head = logistic_to_record(LogisticModel(weights=np.zeros(width), bias=0.0))
-        record["ovr"]["models"][0] = {"type": "logistic", **head}
+        record["ovr"]["models"][0] = {
+            "type": "naive_bayes",
+            "log_prior": [-0.7, -0.7],
+            "log_likelihood": [[-1.0] * width, [-1.0] * width],
+        }
+
+    def drop_head(record):
+        record["ovr"]["models"].pop()
 
     def no_vocabulary(record):
         del record["vocab"], record["vocab_hash"]
 
-    for edit in (drop_column, short_prior, logistic_head, no_vocabulary):
+    for edit, message in (
+        (naive_bayes_head, "'ovr.models[0]' section lacks ['weights']"),
+        (drop_head, "14 heads for 15 labels"),
+        (no_vocabulary, "no 'vocab' section"),
+    ):
         path = tamper(tmp_path, pipeline, edit)
-        with pytest.raises(ConfigError, match="pipeline.json"):
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: {message}")):
             load_pipeline(path)
 
 
-def test_encoder_artifact_width_checked_at_load(tmp_path, small_corpus):
-    derivation = derive_diagnosis_labels(small_corpus.pairs())
-    config = PipelineConfig(task="diagnosis", backend="encoder", encoder_dim=16)
-    pipeline = train_pipeline(config, small_corpus.transcripts, derivation.matrix)
+def test_encoder_artifact_width_checked_at_load(tmp_path, trained_pipeline):
+    """Each head holds a weight per vocabulary term, and a config naming the
+    removed encoder backend is rejected rather than read as tf-idf."""
+    pipeline = trained_pipeline[2]
+    width = len(pipeline.vocab)
 
     def narrow(record):
         head = record["ovr"]["models"][0]
         head["weights"] = head["weights"][:-1]
 
-    path = tamper(tmp_path, pipeline, narrow)
-    with pytest.raises(ConfigError, match="pipeline.json.*encoder_dim 16"):
-        load_pipeline(path)
+    def encoder_config(record):
+        record["config"].update(backend="encoder", encoder_dim=16)
+
+    for edit, message in (
+        (narrow, f"ovr.models[0].weights has shape ({width - 1},), expected ({width},)"),
+        (encoder_config, "unknown config keys"),
+    ):
+        path = tamper(tmp_path, pipeline, edit)
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: {message}")):
+            load_pipeline(path)
 
 
 def test_scores_equal_linear_functions_of_oracle_features(small_corpus):
@@ -339,11 +332,9 @@ def test_scores_equal_linear_functions_of_oracle_features(small_corpus):
         assert np.array_equal(utterance_probabilities(fm, transcript), expected)
 
     docs = [[tokenize(u.text) for u in t.utterances] for t in transcripts]
-    for backend, oracle in (("logistic", oracle_tfidf), ("naive_bayes", oracle_counts)):
-        config = PipelineConfig(task="diagnosis", backend=backend, min_df=2)
-        pipeline = train_pipeline(config, transcripts, derivation.matrix)
-        expected = ovr_proba_matrix(pipeline.ovr, oracle(pipeline.vocab, docs))
-        assert np.array_equal(run_pipeline(pipeline, transcripts).scores, expected)
+    pipeline = train_pipeline(PipelineConfig(task="diagnosis", min_df=2), transcripts, derivation.matrix)
+    expected = ovr_proba_matrix(pipeline.ovr, oracle_tfidf(pipeline.vocab, docs))
+    assert np.array_equal(run_pipeline(pipeline, transcripts).scores, expected)
 
 
 def test_indices_override_must_cover_every_transcript(trained_pipeline):
@@ -356,27 +347,6 @@ def test_indices_override_must_cover_every_transcript(trained_pipeline):
             derivation.matrix,
             indices_override=override,
         )
-
-
-def test_naive_bayes_backend_trains(small_corpus):
-    pairs = small_corpus.pairs()
-    derivation = derive_diagnosis_labels(pairs)
-    config = PipelineConfig(task="diagnosis", backend="naive_bayes", min_df=2)
-    pipeline = train_pipeline(config, small_corpus.transcripts, derivation.matrix)
-    scores = run_pipeline(pipeline, small_corpus.transcripts[:8])
-    assert scores.scores.min() >= 0.0 and scores.scores.max() <= 1.0
-
-
-def test_encoder_backend_is_deterministic(small_corpus):
-    pairs = small_corpus.pairs()
-    derivation = derive_diagnosis_labels(pairs)
-    config = PipelineConfig(task="diagnosis", backend="encoder", encoder_dim=16)
-    first = train_pipeline(config, small_corpus.transcripts, derivation.matrix)
-    second = train_pipeline(config, small_corpus.transcripts, derivation.matrix)
-    sample = small_corpus.transcripts[:8]
-    np.testing.assert_allclose(
-        run_pipeline(first, sample).scores, run_pipeline(second, sample).scores, atol=1e-12
-    )
 
 
 def test_indices_override_orders_and_bounds(trained_pipeline):
@@ -397,6 +367,15 @@ def test_indices_override_orders_and_bounds(trained_pipeline):
     for bad in (len(first), -1):
         with pytest.raises(ValidationError, match="outside transcript"):
             run_pipeline(pipeline, [first], {first.id: [0, bad]})
+
+
+def test_an_override_index_past_the_end_names_the_transcript(trained_pipeline):
+    corpus, _, pipeline = trained_pipeline
+    first = corpus.transcripts[0]
+    n = len(first.utterances)
+    message = f"outside transcript {first.id!r} of {n} utterances"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        run_pipeline(pipeline, [first], {first.id: [n]})
 
 
 # ---------------------------------------------------------------------------
