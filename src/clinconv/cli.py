@@ -169,7 +169,7 @@ def _load_override(indices_path: str | None, transcripts) -> dict[str, list[int]
     """The selections of an ``--indices`` file, each for a transcript given."""
     if not indices_path:
         return None
-    override = load_indices(indices_path)
+    override = load_indices(indices_path, {t.id: len(t.utterances) for t in transcripts})
     known = {t.id for t in transcripts}
     unknown = [i for i in override if i not in known]
     if unknown:
@@ -329,7 +329,11 @@ def cmd_train_filter(args) -> None:
         min_df=args.min_df,
     )
     atomic_write_text(args.out, json.dumps(filter_to_record(fm), indent=2) + "\n")
-    _write_manifest(args, [args.transcripts, args.notes, args.labels])
+    _write_manifest(
+        args,
+        [args.transcripts, args.notes, args.labels],
+        extra={"converged": fm.model.converged, "n_iter": fm.model.n_iter},
+    )
     _print_warnings(warnings)
     status = "converged" if fm.model.converged else "NOT converged"
     print(
@@ -399,8 +403,17 @@ def cmd_train(args) -> None:
     )
     save_pipeline(args.out, pipeline)
     inputs = [args.transcripts, args.labels, args.filter, args.lexicon, args.task_map]
-    _write_manifest(args, [*inputs, args.indices])
     heads = pipeline.ovr.models
+    _write_manifest(
+        args,
+        [*inputs, args.indices],
+        extra={
+            "heads": [
+                {"label": label, "converged": m.converged, "n_iter": m.n_iter}
+                for label, m in zip(pipeline.ovr.labels, heads)
+            ]
+        },
+    )
     n_converged = sum(1 for m in heads if m.converged)
     print(
         f"trained pipeline for {config.task} "
@@ -497,6 +510,14 @@ def cmd_sweep(args) -> None:
         raise ConfigError("train and test label files use different label spaces")
     train_transcripts = _transcripts_in_order(args.train_transcripts, list(train_matrix.example_ids))
     test_transcripts = _transcripts_in_order(args.test_transcripts, list(test_matrix.example_ids))
+    # Separately generated corpora may reuse ids; only the same transcript is in-sample.
+    train_by_id = {t.id: t for t in train_transcripts}
+    shared = next((t.id for t in test_transcripts if train_by_id.get(t.id) == t), None)
+    if shared is not None:
+        raise ValidationError(
+            f"{args.train_transcripts} and {args.test_transcripts} share transcript "
+            f"{shared!r}; the sweep needs held-out test transcripts"
+        )
     fm = load_filter(args.filter)
     try:
         grid = sorted({float(g) for g in args.grid.split(",") if g.strip()})

@@ -8,7 +8,10 @@ documents and returns one CSR matrix with a row per document.
 One pass (:func:`blocks`) checks the documents, lists their segments and
 cuts them, as they are read, into blocks of whole documents holding about
 ``BLOCK_TOKENS`` tokens, so temporaries stay bounded by the block, not by the
-corpus. Fitting interns each block's tokens to keep first-seen term order.
+corpus. Fitting interns each block's tokens to keep first-seen term order and
+keeps of the block only its (document, term) counts, as integers; a training
+matrix is weighted from those once the vocabulary is known, so training reads
+its documents once and holds no token of the corpus past its block.
 The transform looks tokens up in tables that a :class:`Vocabulary` compiles
 once: a token id for every term and every part of a bigram term, and the
 sorted codes ``left * (n_tokens + 1) + right`` of its bigram terms. No bigram
@@ -22,6 +25,7 @@ import re
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain, count, repeat
 from operator import itemgetter
 
@@ -181,51 +185,69 @@ def blocks(docs: Iterable[Doc]) -> Iterator[Block]:
         yield Block(group, segments, np.array(starts))
 
 
-def fit_vocabulary(docs: Iterable[Doc], min_df: int = 2) -> Vocabulary:
-    """Collect unigrams and bigrams with document frequency >= min_df.
+def _index_dtype(bound: int) -> type:
+    """int32 when it holds every value below ``bound``, else int64."""
+    return np.int32 if bound <= np.iinfo(np.int32).max else np.int64
 
-    Terms keep first-seen order, which makes feature indices reproducible for
-    a given corpus ordering: each token, then the bigram it completes.
+
+def _block_pairs(term_ids: dict[str, int], block: Block) -> tuple[np.ndarray, ...]:
+    """Number a block's new terms in ``term_ids`` and count its terms.
+
+    Returns the block's (document, term) pairs in ascending order as three
+    integer arrays: the global term id of each pair, its count, and the
+    number of pairs of each document. No token of the block outlives it.
     """
+    stream, rows, ends = block.tokens()
+    # dict.fromkeys keeps first-seen order, so ids number tokens as they appear.
+    interned = dict(zip(dict.fromkeys(stream), count()))
+    tokens = list(interned)
+    n_ids = len(tokens)
+    ids = np.fromiter(map(interned.__getitem__, stream), np.int64, len(stream))
+    # Ids number tokens as they first appear, so a token is new exactly
+    # where the running maximum of the ids steps up.
+    token_first = np.flatnonzero(np.diff(np.maximum.accumulate(ids), prepend=-1))
+    codes, bigram_first, inverse = np.unique(
+        ids[ends - 1] * n_ids + ids[ends], return_index=True, return_inverse=True
+    )
+    first, second = np.divmod(codes, n_ids)
+    bigrams = (f"{tokens[a]} {tokens[b]}" for a, b in zip(first.tolist(), second.tolist()))
+    # In stream order token p sits at slot 2p and the bigram it completes
+    # at slot 2p+1; terms take global ids in order of their first slot.
+    slots = np.concatenate([2 * token_first, 2 * ends[bigram_first] + 1])
+    names = [*tokens, *bigrams]
+    global_ids = np.empty(len(names), dtype=np.int64)
+    for k in np.argsort(slots).tolist():
+        global_ids[k] = term_ids.setdefault(names[k], len(term_ids))
+    # Every occurrence coded row * n_terms + term, sorted, then each pair once.
+    n_terms = len(term_ids)
+    pairs = np.empty(len(ids) + len(ends), dtype=np.int64)
+    np.multiply(rows, n_terms, out=pairs[: len(ids)])
+    pairs[: len(ids)] += global_ids[ids]
+    np.multiply(rows[ends], n_terms, out=pairs[len(ids) :])
+    pairs[len(ids) :] += global_ids[n_ids + inverse]
+    pairs.sort()
+    starts = np.flatnonzero(np.diff(pairs, prepend=-1))
+    pair_rows, terms = np.divmod(pairs[starts], n_terms)
+    small = _index_dtype(len(pairs))
+    return (
+        terms.astype(_index_dtype(n_terms)),
+        np.diff(starts, append=len(pairs)).astype(small),
+        np.bincount(pair_rows, minlength=len(block.docs)).astype(small),
+    )
+
+
+def _fit(docs: Iterable[Doc], min_df: int) -> tuple[Vocabulary, list, np.ndarray]:
+    """The vocabulary, each block's pairs from :func:`_block_pairs`, and
+    which of the terms numbered there the vocabulary keeps."""
     if min_df < 1:
         raise ValidationError("min_df must be >= 1")
     term_ids: dict[str, int] = {}
-    df = np.zeros(0, dtype=np.int64)
-    n_docs = 0
-    for block in blocks(docs):
-        n_docs += len(block.docs)
-        stream, rows, ends = block.tokens()
-        # dict.fromkeys keeps first-seen order, so ids number tokens as they appear.
-        interned = dict(zip(dict.fromkeys(stream), count()))
-        tokens = list(interned)
-        n_ids = len(tokens)
-        ids = np.fromiter(map(interned.__getitem__, stream), np.int64, len(stream))
-        # Ids number tokens as they first appear, so a token is new exactly
-        # where the running maximum of the ids steps up.
-        token_first = np.flatnonzero(np.diff(np.maximum.accumulate(ids), prepend=-1))
-        codes, bigram_first, inverse = np.unique(
-            ids[ends - 1] * n_ids + ids[ends], return_index=True, return_inverse=True
-        )
-        first, second = np.divmod(codes, n_ids)
-        bigrams = (f"{tokens[a]} {tokens[b]}" for a, b in zip(first.tolist(), second.tolist()))
-        # In stream order token p sits at slot 2p and the bigram it completes
-        # at slot 2p+1; terms take global ids in order of their first slot.
-        slots = np.concatenate([2 * token_first, 2 * ends[bigram_first] + 1])
-        names = [*tokens, *bigrams]
-        global_ids = np.empty(len(names), dtype=np.int64)
-        for k in np.argsort(slots).tolist():
-            global_ids[k] = term_ids.setdefault(names[k], len(term_ids))
-        # Each (document, term) pair once, coded row * n_terms + term.
-        n_terms = len(term_ids)
-        pairs = np.empty(len(ids) + len(ends), dtype=np.int64)
-        np.multiply(rows, n_terms, out=pairs[: len(ids)])
-        pairs[: len(ids)] += global_ids[ids]
-        np.multiply(rows[ends], n_terms, out=pairs[len(ids) :])
-        pairs[len(ids) :] += global_ids[n_ids + inverse]
-        pairs.sort()
-        first_of_pair = np.diff(pairs, prepend=-1) != 0
-        df = np.concatenate([df, np.zeros(n_terms - len(df), dtype=np.int64)])
-        df += np.bincount(pairs[first_of_pair] % n_terms, minlength=n_terms)
+    # map, unlike a for loop, holds no block while it reads the next one.
+    counted = list(map(partial(_block_pairs, term_ids), blocks(docs)))
+    df = np.zeros(len(term_ids), dtype=np.int64)
+    for terms, _, _ in counted:
+        df += np.bincount(terms, minlength=len(df))
+    n_docs = sum(len(lengths) for _, _, lengths in counted)
     keep = df >= min_df
     terms = [term for term, kept in zip(term_ids, keep.tolist()) if kept]
     if not terms:
@@ -233,7 +255,47 @@ def fit_vocabulary(docs: Iterable[Doc], min_df: int = 2) -> Vocabulary:
             f"empty vocabulary: no term reaches document frequency {min_df} "
             f"across {n_docs} documents"
         )
-    return Vocabulary(terms=terms, df=df[keep], n_docs=n_docs, min_df=min_df)
+    return Vocabulary(terms=terms, df=df[keep], n_docs=n_docs, min_df=min_df), counted, keep
+
+
+def fit_vocabulary(docs: Iterable[Doc], min_df: int = 2) -> Vocabulary:
+    """Collect unigrams and bigrams with document frequency >= min_df.
+
+    Terms keep first-seen order, which makes feature indices reproducible for
+    a given corpus ordering: each token, then the bigram it completes.
+    """
+    return _fit(docs, min_df)[0]
+
+
+def fit_tfidf(docs: Iterable[Doc], min_df: int = 2) -> tuple[Vocabulary, sp.csr_matrix]:
+    """:func:`fit_vocabulary` and :func:`tfidf_transform` of the same
+    documents, equal bit for bit, from one pass over them.
+
+    Past its block a document is held only as integer (term, count) pairs;
+    they are weighted once the min_df cut has fixed the columns.
+    """
+    vocab, counted, keep = _fit(docs, min_df)
+    # The cut terms go first. The kept ones keep their order, so columns
+    # still ascend within a row.
+    column_of = (np.cumsum(keep) - 1).astype(_index_dtype(len(vocab)))
+    # Allocated at their final size: buffers grown block by block, as in
+    # tfidf_transform, raised a full-scale training's peak RSS by about 5 MB.
+    nnz = sum(int(np.count_nonzero(keep[terms])) for terms, _, _ in counted)
+    data = np.empty(nnz)
+    indices = np.empty(nnz, dtype=column_of.dtype)
+    indptr = np.zeros(vocab.n_docs + 1, dtype=np.int64)
+    at = row = 0
+    for terms, counts, lengths in counted:
+        kept = keep[terms]
+        rows = np.repeat(np.arange(len(lengths)), lengths)[kept]
+        lengths = np.bincount(rows, minlength=len(lengths))
+        end = at + len(rows)
+        indices[at:end] = column_of[terms[kept]]
+        data[at:end] = counts[kept]
+        _normalize(data[at:end], indices[at:end], lengths, vocab._idf)
+        indptr[row + 1 : row + 1 + len(lengths)] = at + np.cumsum(lengths)
+        at, row = end, row + len(lengths)
+    return vocab, sp.csr_matrix((data, indices, indptr), shape=(vocab.n_docs, len(vocab)))
 
 
 def _block_counts(vocab: Vocabulary, block: Block) -> tuple[np.ndarray, np.ndarray]:

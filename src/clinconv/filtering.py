@@ -33,13 +33,13 @@ import numpy as np
 
 from .annotations import SoapNote, noteworthy_targets
 from .concepts import ConceptLexicon, TaskMap, token_hits
-from .errors import ConfigError, TrainingError
+from .errors import ConfigError, TrainingError, ValidationError
 from .jsonio import Fields, as_fields, build, read_json, read_jsonl, write_jsonl
 from .features import (
     Block,
     Vocabulary,
     blocks,
-    fit_vocabulary,
+    fit_tfidf,
     read_vocabulary,
     tfidf_transform,
     tokenize,
@@ -162,16 +162,13 @@ def train_filter(
         raise ConfigError(f"unknown filter scope {scope!r}")
     if not corpus:
         raise TrainingError("cannot train a filter on an empty corpus")
-    docs: list[list[str]] = []
-    targets: list[int] = []
-    for transcript, note in corpus:
-        docs.extend(utterance_tokens(transcript))
-        targets.extend(
-            noteworthy_targets(transcript, note, scope, labels, merge_map).tolist()
-        )
-    vocab = fit_vocabulary(docs, min_df=min_df)
-    X = tfidf_transform(vocab, docs)
-    model = train_logistic(X, np.asarray(targets, dtype=float), reg_c=reg_c)
+    targets = np.concatenate(
+        [noteworthy_targets(t, note, scope, labels, merge_map) for t, note in corpus]
+    )
+    # Tokenized as the fit reads them, so no token list outlives its block.
+    docs = (tokens for transcript, _ in corpus for tokens in utterance_tokens(transcript))
+    vocab, X = fit_tfidf(docs, min_df=min_df)
+    model = train_logistic(X, targets.astype(float), reg_c=reg_c)
     if threshold is None:
         threshold = DEFAULT_THRESHOLDS[scope]
     return FilterModel(scope=scope, vocab=vocab, model=model, threshold=threshold)
@@ -354,9 +351,13 @@ def save_indices(path: str | Path, rows: Sequence[tuple[str, Sequence[int]]]) ->
     )
 
 
-def load_indices(path: str | Path) -> dict[str, list[int]]:
+def load_indices(path: str | Path, sizes: Mapping[str, int]) -> dict[str, list[int]]:
     """Per-transcript selections, each ascending and duplicate-free as
-    :func:`save_indices` writes them; any other order is an error."""
+    :func:`save_indices` writes them; any other order is an error.
+
+    ``sizes`` maps transcript ids to their numbers of utterances; an index
+    past the end of a transcript it names is an error too.
+    """
     selections: dict[str, list[int]] = {}
     for row in read_jsonl(path):
         transcript_id = row.get("id", str)
@@ -367,6 +368,13 @@ def load_indices(path: str | Path) -> dict[str, list[int]]:
             raise row.fail("indices must be non-negative")
         if np.any(np.diff(indices) <= 0):
             raise row.fail("indices must be ascending and distinct")
+        n = sizes.get(transcript_id)
+        if n is not None and indices.size and indices[-1] >= n:
+            raise row.fail(
+                f"index {int(indices[indices >= n][0])} outside transcript "
+                f"{transcript_id!r} of {n} utterances",
+                ValidationError,
+            )
         selections[transcript_id] = indices.tolist()
     return selections
 

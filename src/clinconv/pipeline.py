@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,7 +33,7 @@ from .concepts import (
 from .errors import ConfigError, ParseError, ValidationError
 from .features import (
     Vocabulary,
-    fit_vocabulary,
+    fit_tfidf,
     read_vocabulary,
     tfidf_transform,
     tokenize,
@@ -217,25 +217,32 @@ def _filtered_segments(
     lexicon: ConceptLexicon | None,
     task_map: TaskMap | None,
     override: Mapping[str, Sequence[int]] | None,
-) -> list[list[list[str]]]:
-    """Per transcript, the tokens of its selected utterances in order."""
+) -> Iterator[list[list[str]]]:
+    """Per transcript, the tokens of its selected utterances in order, made
+    as they are read."""
     if override is None:
         selections = select_utterances(
             config.strategy, transcripts, filter_model, lexicon, task_map
         )
-        return [[tokens[i] for i in indices] for indices, tokens in selections]
-    docs = []
-    for transcript in transcripts:
-        if transcript.id not in override:
-            raise ConfigError(f"no provided indices for transcript {transcript.id!r}")
-        n = len(transcript.utterances)
-        indices = sorted(set(int(i) for i in override[transcript.id]))
-        if indices and (indices[0] < 0 or indices[-1] >= n):
-            raise ValidationError(
-                f"filtered index outside transcript {transcript.id!r} of {n} utterances"
-            )
-        docs.append([tokenize(transcript.utterances[i].text) for i in indices])
-    return docs
+        # map, unlike a comprehension, runs no Python frame per transcript,
+        # which every one-visit call would pay.
+        return (list(map(tokens.__getitem__, indices)) for indices, tokens in selections)
+    return (_override_segments(override, transcript) for transcript in transcripts)
+
+
+def _override_segments(
+    override: Mapping[str, Sequence[int]], transcript: Transcript
+) -> list[list[str]]:
+    """The tokens of a transcript's provided selection, checked against its length."""
+    if transcript.id not in override:
+        raise ConfigError(f"no provided indices for transcript {transcript.id!r}")
+    n = len(transcript.utterances)
+    indices = sorted(set(int(i) for i in override[transcript.id]))
+    if indices and (indices[0] < 0 or indices[-1] >= n):
+        raise ValidationError(
+            f"filtered index outside transcript {transcript.id!r} of {n} utterances"
+        )
+    return [tokenize(transcript.utterances[i].text) for i in indices]
 
 
 def train_pipeline(
@@ -258,8 +265,7 @@ def train_pipeline(
     docs = _filtered_segments(
         config, transcripts, filter_model, lexicon, task_map, indices_override
     )
-    vocab = fit_vocabulary(docs, min_df=config.min_df)
-    X = tfidf_transform(vocab, docs)
+    vocab, X = fit_tfidf(docs, min_df=config.min_df)
     ovr = train_ovr(X, matrix.values, matrix.space.labels, reg_c=config.reg_c)
     return TrainedPipeline(
         config=config,

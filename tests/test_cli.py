@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from clinconv import load_indices, load_label_matrix, load_scores
+from clinconv import load_indices, load_label_matrix, load_scores, load_transcripts
 from clinconv.cli import build_parser, main
 from clinconv.metrics import auc_scores
 from clinconv.pipeline import CONFIG_KINDS, PipelineConfig
@@ -82,7 +82,8 @@ def test_filter_oracle_strategy_matches_note_evidence(workspace):
     assert run("filter", "--transcripts", root / "corpus" / "transcripts.jsonl",
                "--strategy", "oracle:all", "--notes", root / "corpus" / "notes.jsonl",
                "--out", out) == 0
-    selections = load_indices(out)
+    transcripts = load_transcripts(root / "corpus" / "transcripts.jsonl")
+    selections = load_indices(out, {t.id: len(t.utterances) for t in transcripts})
     assert len(selections) == 80
     assert any(selections.values())
     manifest = json.loads((root / "oracle.jsonl.manifest.json").read_text())
@@ -192,14 +193,24 @@ def test_tag_counts_lexicon_hits(workspace, tmp_path):
     )
 
 
-def test_sweep_writes_sorted_points(workspace, tmp_path):
-    root, run = workspace
-    out = tmp_path / "sweep.json"
+@pytest.fixture(scope="module")
+def held_out(workspace):
+    """The sweep's inputs: the workspace corpus, its diagnosis labels cut into
+    60 training rows and 20 held-out rows, and the filter."""
+    root, _ = workspace
+    header, *rows = (root / "diag.jsonl").read_text().splitlines(keepends=True)
+    train, test = root / "diag.train.jsonl", root / "diag.test.jsonl"
+    train.write_text(header + "".join(rows[:60]))
+    test.write_text(header + "".join(rows[60:]))
     corpus = root / "corpus" / "transcripts.jsonl"
-    assert run("sweep", "--train-transcripts", corpus, "--train-labels", root / "diag.jsonl",
-               "--test-transcripts", corpus, "--test-labels", root / "diag.jsonl",
-               "--filter", root / "filter.json", "--grid", "0.6,0.2,1.0",
-               "--min-df", "1", "--out", out) == 0
+    return ("--train-transcripts", corpus, "--train-labels", train,
+            "--test-transcripts", corpus, "--test-labels", test, "--filter", root / "filter.json")
+
+
+def test_sweep_writes_sorted_points(workspace, held_out, tmp_path):
+    _, run = workspace
+    out = tmp_path / "sweep.json"
+    assert run("sweep", *held_out, "--grid", "0.6,0.2,1.0", "--min-df", "1", "--out", out) == 0
     record = json.loads(out.read_text())
     thresholds = [p["threshold"] for p in record["points"]]
     assert thresholds == sorted(thresholds) == [0.2, 0.6, 1.0]
@@ -208,16 +219,47 @@ def test_sweep_writes_sorted_points(workspace, tmp_path):
     assert record["best_threshold"] in thresholds
 
 
-def test_sweep_rejects_grid_outside_unit_interval(workspace, tmp_path, capsys):
-    root, run = workspace
+def test_sweep_rejects_grid_outside_unit_interval(workspace, held_out, tmp_path, capsys):
+    _, run = workspace
     out = tmp_path / "sweep.json"
-    corpus = root / "corpus" / "transcripts.jsonl"
-    assert run("sweep", "--train-transcripts", corpus, "--train-labels", root / "diag.jsonl",
-               "--test-transcripts", corpus, "--test-labels", root / "diag.jsonl",
-               "--filter", root / "filter.json", "--grid", "0.2,1.5",
-               "--min-df", "1", "--out", out) == 2
+    assert run("sweep", *held_out, "--grid", "0.2,1.5", "--min-df", "1", "--out", out) == 2
     assert "1.5 outside [0, 1]" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_sweep_rejects_train_and_test_sets_that_share_a_transcript(workspace, tmp_path, capsys):
+    """In-sample numbers would be reported as held-out ones."""
+    root, run = workspace
+    train = root / "corpus" / "transcripts.jsonl"
+    test = tmp_path / "test.transcripts.jsonl"
+    test.write_bytes(train.read_bytes())
+    first_id = json.loads((root / "diag.jsonl").read_text().splitlines()[1])["id"]
+    out = tmp_path / "sweep.json"
+    capsys.readouterr()
+    assert run("sweep", "--train-transcripts", train, "--train-labels", root / "diag.jsonl",
+               "--test-transcripts", test, "--test-labels", root / "diag.jsonl",
+               "--filter", root / "filter.json", "--grid", "0.5", "--out", out) == 2
+    assert f"error: {train} and {test} share transcript {first_id!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_accepts_a_corpus_of_another_seed_that_reuses_ids(workspace, tmp_path):
+    """``synth`` names examples ``synth-000000``, ... whatever the seed, so a
+    separately generated held-out corpus shares ids but no transcript."""
+    root, run = workspace
+    test = tmp_path / "heldout"
+    assert run("synth", "--out-dir", test, "--n", "20", "--scale", "desk", "--seed", "8") == 0
+    assert run("derive-labels", "--transcripts", test / "transcripts.jsonl",
+               "--notes", test / "notes.jsonl", "--task", "diagnosis",
+               "--space", root / "diag.jsonl", "--out", test / "diag.jsonl") == 0
+    ids = {t.id for t in load_transcripts(root / "corpus" / "transcripts.jsonl")}
+    assert {t.id for t in load_transcripts(test / "transcripts.jsonl")} <= ids
+    out = tmp_path / "sweep.json"
+    assert run("sweep", "--train-transcripts", root / "corpus" / "transcripts.jsonl",
+               "--train-labels", root / "diag.jsonl",
+               "--test-transcripts", test / "transcripts.jsonl", "--test-labels", test / "diag.jsonl",
+               "--filter", root / "filter.json", "--grid", "0.5", "--min-df", "1", "--out", out) == 0
+    assert [p["threshold"] for p in json.loads(out.read_text())["points"]] == [0.5]
 
 
 @pytest.mark.parametrize(
@@ -231,15 +273,13 @@ def test_sweep_rejects_grid_outside_unit_interval(workspace, tmp_path, capsys):
     ],
     ids=["filter-dots", "filter-bare-exponent", "train-dots", "train-bare-exponent", "sweep-grid"],
 )
-def test_unparseable_values_exit_2_naming_them(workspace, tmp_path, capsys, command, value, message):
+def test_unparseable_values_exit_2_naming_them(workspace, held_out, tmp_path, capsys, command, value, message):
     root, run = workspace
     corpus = root / "corpus" / "transcripts.jsonl"
     argv = {
         "filter": ("--transcripts", corpus, "--filter", root / "filter.json", "--strategy", value),
         "train": ("--transcripts", corpus, "--labels", root / "diag.jsonl", "--strategy", value),
-        "sweep": ("--train-transcripts", corpus, "--train-labels", root / "diag.jsonl",
-                  "--test-transcripts", corpus, "--test-labels", root / "diag.jsonl",
-                  "--filter", root / "filter.json", "--grid", value),
+        "sweep": (*held_out, "--grid", value),
     }[command]
     out = tmp_path / "out.json"
     assert run(command, *argv, "--out", out) == 2
@@ -570,3 +610,49 @@ def test_an_indices_row_for_no_transcript_exits_2(workspace, tmp_path, capsys):
         assert f"{indices}: " in err and "'nobody'" in err, err
     assert not (tmp_path / "out.json").exists()
 
+
+
+def test_an_indices_row_past_its_transcript_names_file_line_and_transcript(workspace, tmp_path, capsys):
+    root, run = workspace
+    first = json.loads((root / "corpus" / "transcripts.jsonl").read_text().splitlines()[0])
+    n = len(first["utterances"])
+    indices = indices_file(root, tmp_path, [0, n, n + 1])
+    message = f"{indices}: line 1: index {n} outside transcript {first['id']!r} of {n} utterances"
+    capsys.readouterr()
+    for command, model in (("train", ("--labels", root / "diag.jsonl")),
+                           ("predict", ("--pipeline", root / "pipe.json"))):
+        assert run(command, *model, "--transcripts", root / "corpus" / "transcripts.jsonl",
+                   "--indices", indices, "--out", tmp_path / "out.json") == 2, command
+        assert f"error: {message}" in capsys.readouterr().err, command
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_manifests_record_whether_each_fit_converged(workspace, tmp_path, monkeypatch):
+    """train-filter's manifest holds its filter's, and train's one entry per head."""
+    from clinconv import cli
+
+    root, run = workspace
+    fitted = {}
+    for name in ("train_filter", "train_pipeline"):
+        def keep(*args, _fit=getattr(cli, name), _name=name, **kwargs):
+            fitted[_name] = _fit(*args, **kwargs)
+            return fitted[_name]
+
+        monkeypatch.setattr(cli, name, keep)
+    corpus = ("--transcripts", root / "corpus" / "transcripts.jsonl")
+    assert run("train-filter", *corpus, "--notes", root / "corpus" / "notes.jsonl",
+               "--scope", "all", "--out", tmp_path / "filter.json") == 0
+    assert run("train", *corpus, "--labels", root / "diag.jsonl",
+               "--out", tmp_path / "pipe.json") == 0
+    assert (tmp_path / "filter.json").read_bytes() == (root / "filter.json").read_bytes()
+    model = fitted["train_filter"].model
+    manifest = json.loads((tmp_path / "filter.json.manifest.json").read_text())
+    assert manifest["extra"] == {"converged": model.converged, "n_iter": model.n_iter}
+    assert model.n_iter > 0
+    ovr = fitted["train_pipeline"].ovr
+    manifest = json.loads((tmp_path / "pipe.json.manifest.json").read_text())
+    assert manifest["extra"]["heads"] == [
+        {"label": label, "converged": m.converged, "n_iter": m.n_iter}
+        for label, m in zip(ovr.labels, ovr.models)
+    ]
+    assert len(ovr.models) > 1

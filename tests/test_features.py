@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 from unittest import mock
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clinconv import features
+from clinconv.features import fit_tfidf
 from clinconv import (
     FitError,
     ValidationError,
@@ -251,3 +253,37 @@ def test_featurizer_equals_the_oracles_across_small_blocks(block_tokens):
     with mock.patch.object(features, "BLOCK_TOKENS", block_tokens):
         test_vocabulary_equals_the_first_seen_oracle()
         test_transforms_equal_the_per_document_oracle()
+
+
+@given(token_docs(), st.integers(min_value=1, max_value=3))
+@settings(max_examples=100, deadline=None)
+def check_fit_tfidf_equals_two_calls_and_the_oracles(docs, min_df):
+    docs = [*docs, [], [[]]]  # an empty document, and one of an empty segment
+    try:
+        expected = oracle_vocabulary(docs, min_df=min_df)
+    except FitError as error:
+        with pytest.raises(FitError, match=re.escape(str(error))):
+            fit_tfidf(iter(docs), min_df=min_df)
+        return
+    vocab, X = fit_tfidf(iter(docs), min_df=min_df)  # one pass over a one-shot iterator
+    two_calls = fit_vocabulary(docs, min_df=min_df)
+    for other in (expected, two_calls):
+        assert vocab.terms == other.terms
+        assert np.array_equal(vocab.df, other.df)
+        assert (vocab.n_docs, vocab.min_df) == (other.n_docs, other.min_df)
+    transformed = tfidf_transform(two_calls, docs)
+    assert same_csr(X, transformed) and same_csr(X, oracle_tfidf(expected, docs))
+    assert (X.indices.dtype, X.indptr.dtype) == (transformed.indices.dtype, transformed.indptr.dtype)
+
+
+@pytest.mark.parametrize("block_tokens", [1, 4, features.BLOCK_TOKENS])
+def test_fit_tfidf_equals_fit_then_transform_and_the_oracles(block_tokens):
+    """Blocks of one token, of four, and of the default size."""
+    with mock.patch.object(features, "BLOCK_TOKENS", block_tokens):
+        check_fit_tfidf_equals_two_calls_and_the_oracles()
+
+
+@pytest.mark.parametrize("docs", [DOCS, ODD_DOCS], ids=["docs", "odd-docs"])
+def test_fit_tfidf_counts_tokens_with_spaces_as_their_bigrams(docs):
+    vocab, X = fit_tfidf(docs, min_df=1)
+    assert same_csr(X, oracle_tfidf(oracle_vocabulary(docs, min_df=1), docs))

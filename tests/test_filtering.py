@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ from hypothesis import strategies as st
 from clinconv import (
     ConfigError,
     FilterStrategy,
+    GenConfig,
     apply_filter,
     bundled_task_map,
     fill_to_k,
+    generate,
     load_indices,
     noteworthy_targets,
     parse_strategy,
@@ -24,6 +27,7 @@ from clinconv import (
     umls_noteworthy,
     utterance_probabilities,
 )
+from clinconv.errors import ValidationError
 from clinconv.filtering import (
     DEFAULT_FILL_K,
     DEFAULT_THRESHOLDS,
@@ -212,6 +216,20 @@ def test_train_filter_validates_scope_and_corpus(trained):
         train_filter([], "all")
 
 
+def test_train_filter_holds_no_token_list_for_the_whole_corpus():
+    """Python's peak during the fit on a fixed corpus of 200 desk visits
+    (49k tokens). With every utterance's token list kept until the fit ends,
+    it read 10.3 MB; with only integer term ids past a block, 6.6 MB."""
+    pairs = generate(GenConfig.desk(n_examples=200), seed=1).pairs()
+    tracemalloc.start()
+    try:
+        train_filter(pairs, "all")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8.5 * 2**20, f"peak {peak / 2**20:.2f} MB"
+
+
 def test_apply_filter_none_selects_everything(trained):
     corpus, fm = trained
     transcript = corpus.transcripts[0]
@@ -273,7 +291,7 @@ def test_indices_file_round_trip(tmp_path):
     rows = [("a", [0, 2, 5]), ("b", []), ("c", [1])]
     path = tmp_path / "indices.jsonl"
     save_indices(path, rows)
-    assert load_indices(path) == {"a": [0, 2, 5], "b": [], "c": [1]}
+    assert load_indices(path, {"a": 6, "b": 0, "c": 2}) == {"a": [0, 2, 5], "b": [], "c": [1]}
 
 
 def test_indices_file_rejects_duplicates(tmp_path):
@@ -282,7 +300,16 @@ def test_indices_file_rejects_duplicates(tmp_path):
     path = tmp_path / "dup.jsonl"
     save_indices(path, [("a", [0]), ("a", [1])])
     with pytest.raises(ParseError):
-        load_indices(path)
+        load_indices(path, {"a": 2})
+
+
+def test_indices_file_checks_indices_against_transcript_sizes(tmp_path):
+    path = tmp_path / "indices.jsonl"
+    save_indices(path, [("a", [0, 2]), ("b", [1, 3, 4]), ("c", [9])])
+    assert load_indices(path, {"a": 3, "b": 5})["b"] == [1, 3, 4]
+    with pytest.raises(ValidationError) as raised:
+        load_indices(path, {"a": 3, "b": 4})
+    assert str(raised.value) == f"{path}: line 2: index 4 outside transcript 'b' of 4 utterances"
 
 
 def test_threshold_sweep_reports_monotone_selection(trained):
