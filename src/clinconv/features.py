@@ -1,18 +1,20 @@
 """Bag-of-ngram features: tokenization, vocabulary fitting, TF-IDF weighting.
 
-A document is a list of token segments (one segment per utterance); bigrams
-are formed inside a segment and never across segment boundaries. A plain list
-of tokens is accepted as a single segment. The transform takes a sequence of
-documents and returns one CSR matrix with a row per document.
+A document is a sequence of utterances, each a list of tokens; bigrams are
+formed inside an utterance, never across two. The transform returns one CSR
+matrix with a row per document.
 
-One pass (:func:`blocks`) checks the documents, lists their segments and
-cuts them, as they are read, into blocks of whole documents holding about
-``BLOCK_TOKENS`` tokens, so temporaries stay bounded by the block, not by the
-corpus. Fitting interns each block's tokens to keep first-seen term order and
-keeps of the block only its (document, term) counts, as integers; a training
-matrix is weighted from those once the vocabulary is known, so training reads
-its documents once and holds no token of the corpus past its block.
-The transform looks tokens up in tables that a :class:`Vocabulary` compiles
+Only this module decides how utterances become rows. :func:`blocks` cuts
+documents, as they are read, into a :class:`Block` of whole documents per
+about ``BLOCK_TOKENS`` tokens, so temporaries stay bounded by the block, not
+by the corpus. Callers give each utterance of a block its row, or -1 to leave
+it out: here a document is a row, the filter gives each utterance a row, and
+a pipeline gives each utterance it keeps its transcript's row.
+
+Fitting interns each block's tokens to keep first-seen term order and keeps
+of the block only its (row, term) counts, as integers; a training matrix is
+weighted from those once the vocabulary is known, so training reads its
+documents once and holds no token of the corpus past its block. The transform looks tokens up in tables that a :class:`Vocabulary` compiles
 once: a token id for every term and every part of a bigram term, and the
 sorted codes ``left * (n_tokens + 1) + right`` of its bigram terms. No bigram
 is spelled out while counting.
@@ -26,7 +28,7 @@ from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, count, repeat
+from itertools import chain, count, repeat, starmap
 from operator import itemgetter
 
 import numpy as np
@@ -36,8 +38,6 @@ from .errors import FitError, ValidationError
 from .jsonio import Fields, build, sha256_text
 
 _TOKEN = re.compile(r"[0-9a-z]+")
-
-Doc = Sequence  # Sequence[str] or Sequence[Sequence[str]]
 
 # Tokens per block, for the featurizer here and for the groups of transcripts
 # that filter selection scores at once.
@@ -131,30 +131,55 @@ def _bigram_splits(terms: Sequence[str]) -> tuple[list[int], list[str], list[str
 
 @dataclass
 class Block:
-    """Consecutive whole documents, with their segments listed in order.
+    """The utterances of consecutive whole documents, in order: document
+    ``d`` of the block owns ``utterances[starts[d]:starts[d + 1]]``."""
 
-    Document ``d`` of the block owns ``segments[starts[d]:starts[d + 1]]``.
-    """
-
-    docs: list[Doc]
-    segments: list[Sequence[str]]
+    utterances: list[Sequence[str]]
     starts: np.ndarray
 
-    def tokens(self) -> tuple[list[str], np.ndarray, np.ndarray]:
-        """The block's tokens in order, the block-local document of each, and
-        the positions that complete a within-segment bigram."""
-        offsets = np.zeros(len(self.segments) + 1, dtype=np.int64)
-        np.cumsum(np.fromiter(map(len, self.segments), np.int64, len(self.segments)), out=offsets[1:])
-        tokens = list(chain.from_iterable(self.segments))
-        # A segment's first token completes no bigram; the extra slot takes
-        # the end offset and the offsets of trailing empty segments.
+    def document_rows(self, selections: Sequence[Sequence[int]] | None = None) -> Rows:
+        """The block with each utterance on the row of its document, if
+        ``selections`` (per document, the indices of the utterances to keep
+        within it) keeps it or is None."""
+        # ndarray methods, unlike their numpy functions, run no Python frame,
+        # which every one-visit call would pay.
+        n_docs = len(self.starts) - 1
+        docs = np.arange(n_docs)
+        if selections is None:
+            return self, docs.repeat(self.starts[1:] - self.starts[:-1]), n_docs
+        docs = docs.repeat(np.fromiter(map(len, selections), np.int64, n_docs))
+        kept = np.fromiter(chain.from_iterable(selections), np.int64, len(docs))
+        rows = np.empty(len(self.utterances), dtype=np.int64)
+        rows.fill(-1)
+        rows[self.starts[docs] + kept] = docs
+        return self, rows, n_docs
+
+    def utterance_rows(self) -> Rows:
+        """The block with each utterance on a row of its own."""
+        n = len(self.utterances)
+        return self, np.arange(n), n
+
+    def tokens(self, rows: np.ndarray) -> tuple[list[str], np.ndarray, np.ndarray]:
+        """The tokens of the utterances that have a row, in order, the row of
+        each, and the positions that complete a within-utterance bigram."""
+        kept = (rows >= 0).nonzero()[0]
+        utterances = list(map(self.utterances.__getitem__, kept.tolist()))
+        lengths = np.fromiter(map(len, utterances), np.int64, len(utterances))
+        offsets = np.zeros(len(utterances) + 1, dtype=np.int64)
+        lengths.cumsum(out=offsets[1:])
+        tokens = list(chain.from_iterable(utterances))
+        # An utterance's first token completes no bigram; the extra slot takes
+        # the end offset and the offsets of trailing empty utterances.
         continues = np.ones(len(tokens) + 1, dtype=bool)
         continues[offsets] = False
-        rows = np.repeat(np.arange(len(self.docs)), np.diff(offsets[self.starts]))
-        return tokens, rows, np.flatnonzero(continues[:-1])
+        return tokens, rows[kept].repeat(lengths), continues[:-1].nonzero()[0]
 
 
-def blocks(docs: Iterable[Doc]) -> Iterator[Block]:
+# A block, each utterance's row or -1, and the number of rows (the last may be empty).
+Rows = tuple[Block, np.ndarray, int]
+
+
+def blocks(docs: Iterable[Sequence[Sequence[str]]]) -> Iterator[Block]:
     """Check ``docs`` and cut them, as they are read, into blocks.
 
     A block closes once its tokens, plus one per document, reach
@@ -163,26 +188,25 @@ def blocks(docs: Iterable[Doc]) -> Iterator[Block]:
     """
     if isinstance(docs, str):
         raise ValidationError("documents must be a sequence, not a string")
-    group: list[Doc] = []
-    segments: list[Sequence[str]] = []
+    utterances: list[Sequence[str]] = []
     starts = [0]
     size = 0
     for i, doc in enumerate(docs):
         if isinstance(doc, str):
-            raise ValidationError(f"document {i} is a string; pass token lists or segment lists")
-        if doc and isinstance(doc[0], str):
-            segments.append(doc)
-            size += len(doc) + 1
-        else:
-            segments.extend(doc)
-            size += sum(map(len, doc)) + 1
-        group.append(doc)
-        starts.append(len(segments))
+            raise ValidationError(f"document {i} is a string, not a list of token lists")
+        # A string utterance would be read as its characters. map calls type
+        # from C: a Python frame per type, not per utterance.
+        if any(issubclass(t, str) for t in set(map(type, doc))):
+            at = next(u for u, tokens in enumerate(doc) if isinstance(tokens, str))
+            raise ValidationError(f"document {i} utterance {at} is a string, not a token list")
+        utterances.extend(doc)
+        starts.append(len(utterances))
+        size += sum(map(len, doc)) + 1
         if size >= BLOCK_TOKENS:
-            yield Block(group, segments, np.array(starts))
-            group, segments, starts, size = [], [], [0], 0
-    if group:
-        yield Block(group, segments, np.array(starts))
+            yield Block(utterances, np.array(starts))
+            utterances, starts, size = [], [0], 0
+    if len(starts) > 1:
+        yield Block(utterances, np.array(starts))
 
 
 def _index_dtype(bound: int) -> type:
@@ -190,14 +214,16 @@ def _index_dtype(bound: int) -> type:
     return np.int32 if bound <= np.iinfo(np.int32).max else np.int64
 
 
-def _block_pairs(term_ids: dict[str, int], block: Block) -> tuple[np.ndarray, ...]:
-    """Number a block's new terms in ``term_ids`` and count its terms.
+def _block_pairs(
+    term_ids: dict[str, int], block: Block, rows: np.ndarray, n_rows: int
+) -> tuple[np.ndarray, ...]:
+    """Number the new terms of a block's rows in ``term_ids`` and count them.
 
-    Returns the block's (document, term) pairs in ascending order as three
-    integer arrays: the global term id of each pair, its count, and the
-    number of pairs of each document. No token of the block outlives it.
+    Returns the (row, term) pairs in ascending order as three integer arrays:
+    the global term id of each pair, its count, and the number of pairs of
+    each of the ``n_rows`` rows. No token of the block outlives it.
     """
-    stream, rows, ends = block.tokens()
+    stream, rows, ends = block.tokens(rows)
     # dict.fromkeys keeps first-seen order, so ids number tokens as they appear.
     interned = dict(zip(dict.fromkeys(stream), count()))
     tokens = list(interned)
@@ -232,18 +258,18 @@ def _block_pairs(term_ids: dict[str, int], block: Block) -> tuple[np.ndarray, ..
     return (
         terms.astype(_index_dtype(n_terms)),
         np.diff(starts, append=len(pairs)).astype(small),
-        np.bincount(pair_rows, minlength=len(block.docs)).astype(small),
+        np.bincount(pair_rows, minlength=n_rows).astype(small),
     )
 
 
-def _fit(docs: Iterable[Doc], min_df: int) -> tuple[Vocabulary, list, np.ndarray]:
+def _fit(pieces: Iterable[Rows], min_df: int) -> tuple[Vocabulary, list, np.ndarray]:
     """The vocabulary, each block's pairs from :func:`_block_pairs`, and
     which of the terms numbered there the vocabulary keeps."""
     if min_df < 1:
         raise ValidationError("min_df must be >= 1")
     term_ids: dict[str, int] = {}
-    # map, unlike a for loop, holds no block while it reads the next one.
-    counted = list(map(partial(_block_pairs, term_ids), blocks(docs)))
+    # starmap, unlike a for loop, holds no block while it reads the next one.
+    counted = list(starmap(partial(_block_pairs, term_ids), pieces))
     df = np.zeros(len(term_ids), dtype=np.int64)
     for terms, _, _ in counted:
         df += np.bincount(terms, minlength=len(df))
@@ -258,23 +284,29 @@ def _fit(docs: Iterable[Doc], min_df: int) -> tuple[Vocabulary, list, np.ndarray
     return Vocabulary(terms=terms, df=df[keep], n_docs=n_docs, min_df=min_df), counted, keep
 
 
-def fit_vocabulary(docs: Iterable[Doc], min_df: int = 2) -> Vocabulary:
+def fit_vocabulary(docs: Iterable[Sequence[Sequence[str]]], min_df: int = 2) -> Vocabulary:
     """Collect unigrams and bigrams with document frequency >= min_df.
 
     Terms keep first-seen order, which makes feature indices reproducible for
     a given corpus ordering: each token, then the bigram it completes.
     """
-    return _fit(docs, min_df)[0]
+    return _fit(map(Block.document_rows, blocks(docs)), min_df)[0]
 
 
-def fit_tfidf(docs: Iterable[Doc], min_df: int = 2) -> tuple[Vocabulary, sp.csr_matrix]:
+def fit_tfidf(
+    docs: Iterable[Sequence[Sequence[str]]], min_df: int = 2
+) -> tuple[Vocabulary, sp.csr_matrix]:
     """:func:`fit_vocabulary` and :func:`tfidf_transform` of the same
-    documents, equal bit for bit, from one pass over them.
+    documents, equal bit for bit, from one pass over them."""
+    return fit_rows(map(Block.document_rows, blocks(docs)), min_df)
 
-    Past its block a document is held only as integer (term, count) pairs;
-    they are weighted once the min_df cut has fixed the columns.
+
+def fit_rows(pieces: Iterable[Rows], min_df: int = 2) -> tuple[Vocabulary, sp.csr_matrix]:
+    """The vocabulary of the rows of ``pieces``, each a document, and their
+    :func:`transform_rows` matrix, from one pass. Past its block a row is held
+    only as integer (term, count) pairs, weighted once min_df fixes the columns.
     """
-    vocab, counted, keep = _fit(docs, min_df)
+    vocab, counted, keep = _fit(pieces, min_df)
     # The cut terms go first. The kept ones keep their order, so columns
     # still ascend within a row.
     column_of = (np.cumsum(keep) - 1).astype(_index_dtype(len(vocab)))
@@ -298,9 +330,9 @@ def fit_tfidf(docs: Iterable[Doc], min_df: int = 2) -> tuple[Vocabulary, sp.csr_
     return vocab, sp.csr_matrix((data, indices, indptr), shape=(vocab.n_docs, len(vocab)))
 
 
-def _block_counts(vocab: Vocabulary, block: Block) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending ``row * len(vocab) + column`` keys of a block and their counts."""
-    tokens, rows, ends = block.tokens()
+def _block_counts(vocab: Vocabulary, block: Block, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending ``row * len(vocab) + column`` keys of a block's rows and their counts."""
+    tokens, rows, ends = block.tokens(rows)
     width, unknown = len(vocab), len(vocab.token_ids)
     # An unknown token takes id len(token_ids), which is no column, and its
     # bigram codes, left or right, equal no code of the vocabulary's table.
@@ -370,21 +402,26 @@ def _normalize(values: np.ndarray, columns: np.ndarray, lengths: np.ndarray, idf
     values /= np.repeat(norms, lengths)
 
 
-def tfidf_transform(vocab: Vocabulary, docs: Sequence[Doc]) -> sp.csr_matrix:
+def tfidf_transform(vocab: Vocabulary, docs: Sequence[Sequence[Sequence[str]]]) -> sp.csr_matrix:
     """TF-IDF with idf = ln((1+n_docs)/(1+df)) + 1, each row L2-normalized.
 
     Out-of-vocabulary terms are dropped; a document with no in-vocabulary
     term maps to the zero row. Column indices ascend within each row.
     """
+    return transform_rows(vocab, map(Block.document_rows, blocks(docs)))
+
+
+def transform_rows(vocab: Vocabulary, pieces: Iterable[Rows]) -> sp.csr_matrix:
+    """:func:`tfidf_transform` of the rows of ``pieces``, in order."""
     width = len(vocab)
     # The buffers become the matrix's own arrays: 32-bit columns where they fit.
     indices = array("i" if width <= np.iinfo(np.int32).max else "q")
     values = array("d")
     indptr = array("q", [0])
-    for block in blocks(docs):
-        keys, counts = _block_counts(vocab, block)
+    for block, rows, n_rows in pieces:
+        keys, counts = _block_counts(vocab, block, rows)
         rows, columns = np.divmod(keys, max(width, 1))
-        lengths = np.bincount(rows, minlength=len(block.docs))
+        lengths = np.bincount(rows, minlength=n_rows)
         weights = counts.astype(np.float64)
         _normalize(weights, columns, lengths, vocab._idf)
         indptr.frombytes((len(indices) + np.cumsum(lengths)).tobytes())

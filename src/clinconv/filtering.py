@@ -27,6 +27,7 @@ from __future__ import annotations
 import re
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -39,10 +40,10 @@ from .features import (
     Block,
     Vocabulary,
     blocks,
-    fit_tfidf,
+    fit_rows,
     read_vocabulary,
-    tfidf_transform,
     tokenize,
+    transform_rows,
     vocabulary_entries,
 )
 from .linear import (
@@ -166,20 +167,32 @@ def train_filter(
         [noteworthy_targets(t, note, scope, labels, merge_map) for t, note in corpus]
     )
     # Tokenized as the fit reads them, so no token list outlives its block.
-    docs = (tokens for transcript, _ in corpus for tokens in utterance_tokens(transcript))
-    vocab, X = fit_tfidf(docs, min_df=min_df)
+    transcripts = (transcript for transcript, _ in corpus)
+    rows = map(Block.utterance_rows, blocks(map(utterance_tokens, transcripts)))
+    vocab, X = fit_rows(rows, min_df=min_df)
     model = train_logistic(X, targets.astype(float), reg_c=reg_c)
     if threshold is None:
         threshold = DEFAULT_THRESHOLDS[scope]
     return FilterModel(scope=scope, vocab=vocab, model=model, threshold=threshold)
 
 
-def _probabilities(fm: FilterModel, docs: Sequence[Sequence[str]]) -> np.ndarray:
-    return predict_proba_matrix(fm.model, tfidf_transform(fm.vocab, docs))
+def _block_probabilities(fm: FilterModel, block: Block) -> list[np.ndarray]:
+    """Per transcript of a block, the probability of each of its utterances."""
+    X = transform_rows(fm.vocab, [block.utterance_rows()])
+    return np.split(predict_proba_matrix(fm.model, X), block.starts[1:-1])
+
+
+def _probabilities(fm: FilterModel, transcripts: Iterable[Transcript]) -> Iterator[np.ndarray]:
+    """:func:`utterance_probabilities` of each transcript, scored block by block."""
+    return (
+        probs
+        for block in blocks(map(utterance_tokens, transcripts))
+        for probs in _block_probabilities(fm, block)
+    )
 
 
 def utterance_probabilities(fm: FilterModel, transcript: Transcript) -> np.ndarray:
-    return _probabilities(fm, utterance_tokens(transcript))
+    return next(_probabilities(fm, [transcript]))
 
 
 def filter_to_record(fm: FilterModel) -> dict:
@@ -261,13 +274,25 @@ def select_utterances(
     task_map: TaskMap | None = None,
 ) -> Iterator[tuple[list[int], list[list[str]]]]:
     """Per transcript, in order: the selected utterance indices (ascending and
-    duplicate-free) and the tokens of every utterance.
+    duplicate-free) and the tokens of every utterance."""
+    selected = select_blocks(strategy, transcripts, filter_model, lexicon, task_map)
+    return (
+        (indices, block.utterances[start:end])
+        for block, selections in selected
+        for indices, start, end in zip(selections, block.starts, block.starts[1:])
+    )
 
-    Each utterance is tokenized once; its tokens serve the filter, the tagger
-    and the caller. Transcripts are taken in groups of about
-    ``features.BLOCK_TOKENS`` tokens, and the filter scores each group with
-    one transform.
-    """
+
+def select_blocks(
+    strategy: FilterStrategy,
+    transcripts: Iterable[Transcript],
+    filter_model: FilterModel | None = None,
+    lexicon: ConceptLexicon | None = None,
+    task_map: TaskMap | None = None,
+) -> Iterator[tuple[Block, list[list[int]]]]:
+    """Each block of whole transcripts (:func:`features.blocks`) with their
+    selections. The filter scores a block with one transform, and each
+    utterance is tokenized once, for the filter, the tagger and the caller."""
     if strategy.needs_lexicon and lexicon is None:
         raise ConfigError(f"strategy {format_strategy(strategy)} needs a concept lexicon")
     if strategy.needs_model:
@@ -279,9 +304,8 @@ def select_utterances(
                 f"{filter_model.scope!r}"
             )
     return (
-        selection
+        (block, _select_block(strategy, block, filter_model, lexicon, task_map))
         for block in blocks(map(utterance_tokens, transcripts))
-        for selection in _select_block(strategy, block, filter_model, lexicon, task_map)
     )
 
 
@@ -291,14 +315,15 @@ def _select_block(
     filter_model: FilterModel | None,
     lexicon: ConceptLexicon | None,
     task_map: TaskMap | None,
-) -> Iterator[tuple[list[int], list[list[str]]]]:
-    probabilities: list = [None] * len(block.docs)
+) -> list[list[int]]:
+    probabilities = repeat(None)
     if strategy.needs_model:
-        # The utterances of a block's transcripts are its segments.
-        scores = _probabilities(filter_model, block.segments)
-        probabilities = np.split(scores, block.starts[1:-1])
-    for tokens, probs in zip(block.docs, probabilities):
-        yield _select(strategy, tokens, probs, filter_model, lexicon, task_map), tokens
+        probabilities = _block_probabilities(filter_model, block)
+    starts = block.starts.tolist()
+    return [
+        _select(strategy, block.utterances[start:end], probs, filter_model, lexicon, task_map)
+        for start, end, probs in zip(starts, starts[1:], probabilities)
+    ]
 
 
 def _select(
@@ -403,7 +428,7 @@ def threshold_sweep(
     for threshold in grid:
         if not 0.0 <= threshold <= 1.0:
             raise ConfigError(f"sweep threshold {threshold} outside [0, 1]")
-    probabilities = [utterance_probabilities(fm, t) for t in transcripts]
+    probabilities = list(_probabilities(fm, transcripts))
     points = []
     for threshold in sorted(grid):
         selected = [np.flatnonzero(p >= threshold).tolist() for p in probabilities]

@@ -12,10 +12,10 @@ beat.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
+from itertools import starmap
 from pathlib import Path
 
 import numpy as np
@@ -32,11 +32,14 @@ from .concepts import (
 )
 from .errors import ConfigError, ParseError, ValidationError
 from .features import (
+    Block,
+    Rows,
     Vocabulary,
-    fit_tfidf,
+    blocks,
+    fit_rows,
     read_vocabulary,
-    tfidf_transform,
     tokenize,
+    transform_rows,
     vocabulary_entries,
 )
 from .filtering import (
@@ -46,7 +49,7 @@ from .filtering import (
     filter_to_record,
     format_strategy,
     parse_strategy,
-    select_utterances,
+    select_blocks,
 )
 from .jsonio import atomic_write_text, build, read_json, read_jsonl, write_jsonl
 from .linear import (
@@ -58,12 +61,6 @@ from .linear import (
 )
 from .metrics import METRIC_NAMES, evaluate_matrix
 from .transcripts import Transcript
-
-# chunk_and_pool's defaults: chunk length and the token cap applied before
-# chunking.
-CHUNK_SIZE = 512
-TOKEN_CAP = 2040
-
 
 @dataclass
 class ScoreMatrix:
@@ -125,61 +122,6 @@ def load_scores(path: str | Path) -> ScoreMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Chunk-and-pool encoder adapter, for long inputs. No pipeline uses it;
-# acceptance criterion 08 checks it by hand.
-
-
-class HashedTokenEncoder:
-    """Deterministic stand-in encoder: mean of seeded random token vectors."""
-
-    def __init__(self, dim: int = 64, seed: int = 0):
-        if dim < 1:
-            raise ConfigError("encoder dim must be >= 1")
-        self.dim = dim
-        self.seed = seed
-        self._cache: dict[str, np.ndarray] = {}
-
-    def _token_vector(self, token: str) -> np.ndarray:
-        vector = self._cache.get(token)
-        if vector is None:
-            digest = hashlib.blake2b(
-                f"{self.seed}:{token}".encode("utf-8"), digest_size=8
-            ).digest()
-            rng = np.random.default_rng(int.from_bytes(digest, "big"))
-            vector = rng.standard_normal(self.dim)
-            self._cache[token] = vector
-        return vector
-
-    def encode(self, tokens: Sequence[str]) -> np.ndarray:
-        if not tokens:
-            return np.zeros(self.dim)
-        return np.mean([self._token_vector(t) for t in tokens], axis=0)
-
-
-def chunk_and_pool(
-    tokens: Sequence[str],
-    encoder,
-    chunk_size: int = CHUNK_SIZE,
-    token_cap: int = TOKEN_CAP,
-) -> np.ndarray:
-    """Truncate to ``token_cap`` tokens, encode consecutive ``chunk_size``
-    chunks, and mean-pool the chunk vectors.
-
-    2040 tokens split into chunks of 512 give four chunks sized
-    (512, 512, 512, 504). Empty input returns the zero vector.
-    """
-    if chunk_size < 1:
-        raise ConfigError("chunk_size must be >= 1")
-    if token_cap < 0:
-        raise ConfigError("token_cap must be >= 0")
-    tokens = list(tokens[:token_cap])
-    if not tokens:
-        return np.zeros(encoder.dim)
-    chunks = [tokens[i : i + chunk_size] for i in range(0, len(tokens), chunk_size)]
-    return np.mean([np.asarray(encoder.encode(c), dtype=float) for c in chunks], axis=0)
-
-
-# ---------------------------------------------------------------------------
 # Trainable pipeline
 
 
@@ -210,27 +152,24 @@ class TrainedPipeline:
     task_map: TaskMap | None = None
 
 
-def _filtered_segments(
+def _selected_rows(
     config: PipelineConfig,
     transcripts: Sequence[Transcript],
     filter_model: FilterModel | None,
     lexicon: ConceptLexicon | None,
     task_map: TaskMap | None,
     override: Mapping[str, Sequence[int]] | None,
-) -> Iterator[list[list[str]]]:
-    """Per transcript, the tokens of its selected utterances in order, made
-    as they are read."""
+) -> Iterator[Rows]:
+    """Blocks of transcripts, each selected utterance on its transcript's
+    row, made as they are read."""
     if override is None:
-        selections = select_utterances(
-            config.strategy, transcripts, filter_model, lexicon, task_map
-        )
-        # map, unlike a comprehension, runs no Python frame per transcript,
-        # which every one-visit call would pay.
-        return (list(map(tokens.__getitem__, indices)) for indices, tokens in selections)
-    return (_override_segments(override, transcript) for transcript in transcripts)
+        selections = select_blocks(config.strategy, transcripts, filter_model, lexicon, task_map)
+        return starmap(Block.document_rows, selections)
+    docs = (_override_tokens(override, transcript) for transcript in transcripts)
+    return map(Block.document_rows, blocks(docs))
 
 
-def _override_segments(
+def _override_tokens(
     override: Mapping[str, Sequence[int]], transcript: Transcript
 ) -> list[list[str]]:
     """The tokens of a transcript's provided selection, checked against its length."""
@@ -262,10 +201,8 @@ def train_pipeline(
     ids = [t.id for t in transcripts]
     if ids != list(matrix.example_ids):
         raise ConfigError("label matrix rows must align with the transcript order")
-    docs = _filtered_segments(
-        config, transcripts, filter_model, lexicon, task_map, indices_override
-    )
-    vocab, X = fit_tfidf(docs, min_df=config.min_df)
+    rows = _selected_rows(config, transcripts, filter_model, lexicon, task_map, indices_override)
+    vocab, X = fit_rows(rows, min_df=config.min_df)
     ovr = train_ovr(X, matrix.values, matrix.space.labels, reg_c=config.reg_c)
     return TrainedPipeline(
         config=config,
@@ -288,7 +225,7 @@ def run_pipeline(
     A transcript whose filter selects nothing is scored from the model bias
     alone (zero feature vector); that is expected behaviour, not an error.
     """
-    docs = _filtered_segments(
+    rows = _selected_rows(
         pipeline.config,
         transcripts,
         pipeline.filter_model,
@@ -296,7 +233,7 @@ def run_pipeline(
         pipeline.task_map,
         indices_override,
     )
-    scores = ovr_proba_matrix(pipeline.ovr, tfidf_transform(pipeline.vocab, docs))
+    scores = ovr_proba_matrix(pipeline.ovr, transform_rows(pipeline.vocab, rows))
     return ScoreMatrix(
         example_ids=[t.id for t in transcripts],
         labels=pipeline.space.labels,

@@ -45,8 +45,9 @@ from clinconv.bundled import bundled_concepts
 from clinconv.concepts import parse_concepts
 from clinconv.linear import logistic_objective
 from clinconv.metrics import auc_scores, cell_accuracy, f1_scores, precision_at_1, rank_auc
-from clinconv.pipeline import HashedTokenEncoder, chunk_and_pool, input_agnostic_predict
+from clinconv.pipeline import input_agnostic_predict
 from conftest import record_criterion
+from encoder import HashedTokenEncoder, chunk_and_pool
 from oracles import (
     all_positive_micro_f1,
     central_difference,

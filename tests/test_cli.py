@@ -12,7 +12,15 @@ import pytest
 
 from clinconv import load_indices, load_label_matrix, load_scores, load_transcripts
 from clinconv.cli import build_parser, main
-from clinconv.metrics import auc_scores
+from clinconv.concepts import (
+    build_lexicon,
+    entity_baseline_predict,
+    load_concepts_file,
+    load_task_map,
+    umls_noteworthy,
+)
+from clinconv.filtering import parse_strategy, select_utterances
+from clinconv.metrics import METRIC_NAMES, auc_scores, evaluate_matrix
 from clinconv.pipeline import CONFIG_KINDS, PipelineConfig
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "clinconv" / "data"
@@ -191,6 +199,63 @@ def test_tag_counts_lexicon_hits(workspace, tmp_path):
         for row in rows
         for hit in row["hits"]
     )
+
+
+LEXICON = DATA / "concept_lexicon.json"
+TASK_MAP = DATA / "diagnosis_task_map.json"
+
+
+@pytest.fixture(scope="module")
+def concept_inputs(workspace):
+    """The workspace transcripts, and the lexicon and task map as the CLI reads them."""
+    root, _ = workspace
+    transcripts = load_transcripts(root / "corpus" / "transcripts.jsonl")
+    return transcripts, build_lexicon(load_concepts_file(LEXICON)), load_task_map(TASK_MAP)
+
+
+def test_filter_with_a_lexicon_strategy_writes_select_utterances(workspace, concept_inputs, tmp_path):
+    root, run = workspace
+    transcripts, lexicon, task_map = concept_inputs
+    out = tmp_path / "umls.jsonl"
+    assert run("filter", "--transcripts", root / "corpus" / "transcripts.jsonl",
+               "--strategy", "umls", "--lexicon", LEXICON, "--task-map", TASK_MAP,
+               "--out", out) == 0
+    selections = select_utterances(parse_strategy("umls"), transcripts, None, lexicon, task_map)
+    expected = {t.id: indices for t, (indices, _) in zip(transcripts, selections, strict=True)}
+    assert any(expected.values())
+    assert load_indices(out, {}) == expected
+
+
+def test_tag_indices_only_writes_umls_noteworthy(workspace, concept_inputs, tmp_path):
+    root, run = workspace
+    transcripts, lexicon, task_map = concept_inputs
+    out = tmp_path / "indices.jsonl"
+    assert run("tag", "--transcripts", root / "corpus" / "transcripts.jsonl",
+               "--lexicon", LEXICON, "--task-map", TASK_MAP, "--indices-only",
+               "--out", out) == 0
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    expected = [{"id": t.id, "indices": umls_noteworthy(lexicon, t, task_map)} for t in transcripts]
+    assert any(row["indices"] for row in expected)
+    assert rows == expected
+
+
+def test_baseline_entity_row_equals_the_library_call(workspace, concept_inputs, tmp_path):
+    root, run = workspace
+    transcripts, lexicon, task_map = concept_inputs
+    out = tmp_path / "baseline.json"
+    assert run("baseline", "--task", "diagnosis", "--labels", root / "diag.jsonl",
+               "--transcripts", root / "corpus" / "transcripts.jsonl",
+               "--lexicon", LEXICON, "--task-map", TASK_MAP, "--out", out) == 0
+    matrix, _ = load_label_matrix(root / "diag.jsonl")
+    by_id = {t.id: t for t in transcripts}
+    ordered = [by_id[i] for i in matrix.example_ids]
+    predictions = entity_baseline_predict(lexicon, task_map, ordered, matrix.space.labels)
+    assert predictions.any()
+    report = evaluate_matrix(
+        predictions.astype(float), matrix.values, matrix.space.labels, threshold=0.5
+    )
+    entity = json.loads(out.read_text())["rows"]["entity"]
+    assert entity == {m: report.aggregate[m] for m in METRIC_NAMES}
 
 
 @pytest.fixture(scope="module")

@@ -102,6 +102,26 @@ def test_transforms_reject_a_string_document():
         tfidf_transform(vocab, "chest pain")
 
 
+@pytest.mark.parametrize("block_tokens", [1, features.BLOCK_TOKENS])
+@pytest.mark.parametrize(
+    "featurize",
+    [
+        lambda docs: fit_vocabulary(docs, min_df=1),
+        lambda docs: fit_tfidf(docs, min_df=1),
+        lambda docs: tfidf_transform(fit_vocabulary(DOCS, min_df=1), docs),
+    ],
+    ids=["fit_vocabulary", "fit_tfidf", "tfidf_transform"],
+)
+def test_a_string_in_an_utterances_place_is_rejected(featurize, block_tokens):
+    """A string there would be read as a list of characters; in a block of
+    one token the document's index is counted across blocks."""
+    with mock.patch.object(features, "BLOCK_TOKENS", block_tokens):
+        with pytest.raises(ValidationError, match="^document 1 utterance 1 is a string"):
+            featurize([[["chest", "pain"]], [["x"], "chest"]])
+        with pytest.raises(ValidationError, match="^document 2 utterance 0 is a string"):
+            featurize([[["x"]], [], ["chest", "pain"]])  # a flat token list
+
+
 def test_transforms_of_no_documents_are_empty_matrices():
     vocab = fit_vocabulary(DOCS, min_df=1)
     X = tfidf_transform(vocab, [])
@@ -158,11 +178,11 @@ def test_vocabulary_terms_meet_min_df(docs, min_df):
 
 @st.composite
 def query_docs(draw):
-    """Plain token lists and segment lists, with terms the vocabulary lacks."""
+    """Segment lists, with terms the vocabulary lacks."""
     token = st.text(alphabet="abcdefxyz", min_size=1, max_size=3)
     segment = st.lists(token, min_size=0, max_size=5)
-    docs = draw(st.lists(st.one_of(segment, st.lists(segment, max_size=4)), max_size=8))
-    return docs + [[], ["xyz"], [["xyz", "zz"], []]]
+    docs = draw(st.lists(st.lists(segment, max_size=4), max_size=8))
+    return docs + [[], [["xyz"]], [["xyz", "zz"], []]]
 
 
 @given(token_docs(), query_docs(), st.integers(min_value=1, max_value=2))
@@ -205,7 +225,7 @@ def test_transforms_equal_the_oracle_for_any_vocabulary(docs, data):
 
 def test_a_bigram_without_its_unigrams_is_counted():
     vocab = Vocabulary(terms=["chest pain", "a b"], df=[1, 1], n_docs=1, min_df=1)
-    docs = [[["chest", "pain", "chest", "pain"]], ["a b", "a", "b"]]
+    docs = [[["chest", "pain", "chest", "pain"]], [["a b", "a", "b"]]]
     X = tfidf_transform(vocab, docs)
     # The token "a b" and the bigram "a b" are the same term.
     assert (X.toarray() > 0).tolist() == [[True, False], [False, True]]
@@ -214,7 +234,7 @@ def test_a_bigram_without_its_unigrams_is_counted():
 
 ODD_DOCS = [
     [["a", "b", "c"], ["b", "c"], ["", "a"], [" a", "b"]],
-    ["a b", "c", "a", "b c"],
+    [["a b", "c", "a", "b c"]],
     [["x", "y"], ["", ""], ["a", "x y", "z"]],
     [],
 ]

@@ -331,6 +331,24 @@ def test_threshold_sweep_reports_monotone_selection(trained):
         assert len(selected) == len(transcripts)
 
 
+def test_threshold_sweep_scores_as_utterance_probabilities(trained):
+    """Thresholds at each probability and at the next float above it pin
+    every probability the sweep scores, block by block, to the one
+    utterance_probabilities gives its transcript alone, bit for bit."""
+    corpus, fm = trained
+    transcripts = corpus.transcripts[:8]
+    expected = [utterance_probabilities(fm, t) for t in transcripts]
+    values = np.unique(np.concatenate(expected))
+    grid = np.unique(np.concatenate([values, np.nextafter(values, 2.0)]))
+    calls: list[list[list[int]]] = []
+    points = threshold_sweep(
+        fm, transcripts, lambda selected: calls.append(selected) or {}, grid[grid <= 1.0].tolist()
+    )
+    assert len(points) == len(calls) > len(values)
+    for point, selected in zip(points, calls):
+        assert selected == [np.flatnonzero(p >= point.threshold).tolist() for p in expected]
+
+
 def test_threshold_sweep_validates_grid(trained):
     corpus, fm = trained
     with pytest.raises(ConfigError):

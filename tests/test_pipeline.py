@@ -39,12 +39,8 @@ from clinconv.linear import ovr_proba_matrix, predict_proba_matrix
 from clinconv import features
 from clinconv.filtering import select_utterances
 from clinconv.metrics import METRIC_NAMES
-from clinconv.pipeline import (
-    HashedTokenEncoder,
-    chunk_and_pool,
-    input_agnostic_predict,
-    micro_f1_optimal_prefix,
-)
+from clinconv.pipeline import input_agnostic_predict, micro_f1_optimal_prefix
+from encoder import HashedTokenEncoder, chunk_and_pool
 from oracles import oracle_tfidf
 
 
@@ -170,6 +166,44 @@ def test_a_batch_tokenizes_each_utterance_once(monkeypatch, strategy_pipelines):
         monkeypatch.setattr(module, "tokenize", counted)
     run_pipeline(pipelines["f2k:umls+pred:diagnosis"], heldout)
     assert sorted(calls) == sorted(u.text for t in heldout for u in t.utterances)
+    # Given a selection, each selected utterance is tokenized once and no other.
+    calls.clear()
+    override = {t.id: list(range(1, len(t.utterances), 3)) for t in heldout}
+    run_pipeline(pipelines["none"], heldout, override)
+    assert calls and sorted(calls) == sorted(
+        t.utterances[i].text for t in heldout for i in override[t.id]
+    )
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_a_strategys_own_selection_as_override_gives_the_same_pipeline(
+    strategy, small_corpus, strategy_pipelines, lexicon, diagnosis_map
+):
+    """The strategy and override branches featurize through one path: the
+    same vocabulary, heads and scores, bit for bit."""
+    heldout, fm, pipelines = strategy_pipelines
+    train = small_corpus.pairs()[:40]
+    transcripts = [t for t, _ in train]
+    parsed = parse_strategy(strategy)
+
+    def own(sample):
+        selections = select_utterances(parsed, sample, fm, lexicon, diagnosis_map)
+        return {t.id: indices for t, (indices, _) in zip(sample, selections, strict=True)}
+
+    pipeline = train_pipeline(
+        PipelineConfig(task="diagnosis"),
+        transcripts,
+        derive_diagnosis_labels(train).matrix,
+        indices_override=own(transcripts),
+    )
+    expected = pipelines[strategy]
+    assert pipeline.vocab.terms == expected.vocab.terms
+    assert np.array_equal(pipeline.vocab.df, expected.vocab.df)
+    assert pipeline.vocab.n_docs == expected.vocab.n_docs
+    for head, other in zip(pipeline.ovr.models, expected.ovr.models, strict=True):
+        assert np.array_equal(head.weights, other.weights) and head.bias == other.bias
+    scores = run_pipeline(pipeline, heldout, own(heldout)).scores
+    assert np.array_equal(scores, run_pipeline(expected, heldout).scores)
 
 
 def test_pipeline_file_format_guard(tmp_path):

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from clinconv.metrics import METRIC_NAMES
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 HEADER = "| model | " + " | ".join(METRIC_NAMES) + " |"
 
 
@@ -44,3 +48,18 @@ def test_compare_strategies_prints_every_strategy(capsys):
     ]
     assert all(len(values) == len(METRIC_NAMES) for values in rows.values())
     assert rows["prior"][METRIC_NAMES.index("macro_auc")] == 0.5
+
+
+def test_output_digests_do_not_depend_on_the_hash_seed(tmp_path):
+    """Two runs of the chain, side by side under two string hash seeds,
+    print the same digest for every file."""
+    runs = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(ROOT / "src")}
+        command = [sys.executable, str(SCRIPTS / "output_digests.py"), str(tmp_path / seed)]
+        runs.append(subprocess.Popen(command, env=env, stdout=subprocess.PIPE, text=True))
+    outputs = [run.communicate(timeout=600)[0] for run in runs]
+    assert [run.returncode for run in runs] == [0, 0]
+    lines = outputs[0].splitlines()
+    assert len(lines) > 100 and any(line.endswith("full/f2k.indices.scores.jsonl") for line in lines)
+    assert outputs[0] == outputs[1]
