@@ -56,6 +56,7 @@ from .features import (
     fit_vocabulary,
     tfidf_transform,
     tokenize,
+    tokenize_all,
 )
 from .filtering import (
     FilterModel,

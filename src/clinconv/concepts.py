@@ -24,12 +24,14 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from itertools import compress, count
+from operator import attrgetter, not_
 from pathlib import Path
 
 import numpy as np
 
 from .errors import LexiconError, ValidationError
-from .features import tokenize
+from .features import tokenize, tokenize_all
 from .jsonio import Fields, as_fields, atomic_write_text, build, read_json
 from .transcripts import Transcript
 
@@ -247,7 +249,7 @@ def validate_task_map_against_lexicon(task_map: TaskMap, lexicon: ConceptLexicon
 
 def token_hits(
     lexicon: ConceptLexicon,
-    utterances: Iterable[Sequence[str]],
+    utterances: Sequence[Sequence[str]],
     task_map: TaskMap | None = None,
 ) -> list[tuple[int, ConceptHit]]:
     """(utterance index, hit) pairs across tokenized utterances, in text order.
@@ -255,10 +257,13 @@ def token_hits(
     With a task map, only hits on concepts routed by that map count; without
     one, any concept in the lexicon counts.
     """
+    # Only an utterance holding a first token of some pattern can hit; the
+    # others are passed over in C, without a call of tag_utterance.
+    candidates = compress(count(), map(not_, map(lexicon.first_tokens.isdisjoint, utterances)))
     return [
         (index, hit)
-        for index, words in enumerate(utterances)
-        for hit in tag_utterance(lexicon, words)
+        for index in candidates
+        for hit in tag_utterance(lexicon, utterances[index])
         if task_map is None or hit.cui in task_map
     ]
 
@@ -269,7 +274,8 @@ def transcript_hits(
     task_map: TaskMap | None = None,
 ) -> list[tuple[int, ConceptHit]]:
     """:func:`token_hits` over a transcript's utterances."""
-    return token_hits(lexicon, (tokenize(u.text) for u in transcript.utterances), task_map)
+    texts = map(attrgetter("text"), transcript.utterances)
+    return token_hits(lexicon, tokenize_all(texts), task_map)
 
 
 def entity_baseline_predict(

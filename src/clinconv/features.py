@@ -1,5 +1,14 @@
 """Bag-of-ngram features: tokenization, vocabulary fitting, TF-IDF weighting.
 
+A token is a run of ``0-9a-z`` in the lowercased text. :func:`tokenize_all`
+finds them without a Python frame per text: it lowercases, encodes to UTF-8,
+maps every byte outside ``0-9a-z`` to a space with one 256-byte table, and
+splits on the spaces, each step a C-level ``map``. That is exact: lowering
+comes first, so a code point that lowers to ASCII (U+212A KELVIN SIGN to
+"k") still yields its letter, every other non-ASCII code point encodes to
+bytes of 0x80 and above, which become spaces, and ``surrogatepass`` encodes
+a lone surrogate, which the transcript reader accepts, instead of raising.
+
 A document is a sequence of utterances, each a list of tokens; bigrams are
 formed inside an utterance, never across two. The transform returns one CSR
 matrix with a row per document.
@@ -23,7 +32,6 @@ is spelled out while counting.
 from __future__ import annotations
 
 import json
-import re
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
@@ -37,7 +45,9 @@ import scipy.sparse as sp
 from .errors import FitError, ValidationError
 from .jsonio import Fields, build, sha256_text
 
-_TOKEN = re.compile(r"[0-9a-z]+")
+# A translation table of bytes: each byte that is no token character becomes a space.
+_TOKEN_CHARS = b"0123456789abcdefghijklmnopqrstuvwxyz"
+_TOKEN_BYTES = bytes(b if b in _TOKEN_CHARS else 0x20 for b in range(256))
 
 # Tokens per block, for the featurizer here and for the groups of transcripts
 # that filter selection scores at once.
@@ -52,7 +62,14 @@ _PAIRWISE_MAX = 128
 
 def tokenize(text: str) -> list[str]:
     """Lowercased alphanumeric runs; punctuation splits. "COVID-19" -> [covid, 19]."""
-    return _TOKEN.findall(text.lower())
+    return tokenize_all((text,))[0]
+
+
+def tokenize_all(texts: Iterable[str]) -> list[list[str]]:
+    """:func:`tokenize` of each text, in one chain of C-level maps."""
+    encoded = map(str.encode, map(str.lower, texts), repeat("utf-8"), repeat("surrogatepass"))
+    spaced = map(bytes.translate, encoded, repeat(_TOKEN_BYTES))
+    return list(map(str.split, map(bytes.decode, spaced)))
 
 
 @dataclass(frozen=True)
@@ -277,9 +294,11 @@ def _fit(pieces: Iterable[Rows], min_df: int) -> tuple[Vocabulary, list, np.ndar
     keep = df >= min_df
     terms = [term for term, kept in zip(term_ids, keep.tolist()) if kept]
     if not terms:
+        # A row with no pair holds no token: a selection that kept nothing says so.
+        empty = sum(int(np.count_nonzero(lengths == 0)) for _, _, lengths in counted)
         raise FitError(
             f"empty vocabulary: no term reaches document frequency {min_df} "
-            f"across {n_docs} documents"
+            f"across {n_docs} documents, {empty} of which hold no token"
         )
     return Vocabulary(terms=terms, df=df[keep], n_docs=n_docs, min_df=min_df), counted, keep
 

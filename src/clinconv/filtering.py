@@ -28,6 +28,7 @@ import re
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import repeat
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +43,7 @@ from .features import (
     blocks,
     fit_rows,
     read_vocabulary,
-    tokenize,
+    tokenize_all,
     transform_rows,
     vocabulary_entries,
 )
@@ -142,7 +143,7 @@ class FilterModel:
 
 
 def utterance_tokens(transcript: Transcript) -> list[list[str]]:
-    return [tokenize(utterance.text) for utterance in transcript.utterances]
+    return tokenize_all(map(attrgetter("text"), transcript.utterances))
 
 
 def train_filter(

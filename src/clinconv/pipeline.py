@@ -16,6 +16,7 @@ import json
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import starmap
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,7 @@ from .features import (
     blocks,
     fit_rows,
     read_vocabulary,
-    tokenize,
+    tokenize_all,
     transform_rows,
     vocabulary_entries,
 )
@@ -181,7 +182,8 @@ def _override_tokens(
         raise ValidationError(
             f"filtered index outside transcript {transcript.id!r} of {n} utterances"
         )
-    return [tokenize(transcript.utterances[i].text) for i in indices]
+    selected = map(transcript.utterances.__getitem__, indices)
+    return tokenize_all(map(attrgetter("text"), selected))
 
 
 def train_pipeline(

@@ -16,6 +16,7 @@ from collections.abc import Iterator
 import numpy as np
 import scipy.sparse as sp
 
+from clinconv.concepts import tag_utterance
 from clinconv.errors import FitError, LexiconError, ValidationError
 from clinconv.features import Vocabulary
 
@@ -251,6 +252,13 @@ def all_positive_micro_f1(prevalence) -> float:
 # ---------------------------------------------------------------------------
 # Featurization, one document at a time
 
+_TOKEN = re.compile(r"[0-9a-z]+")
+
+
+def oracle_tokenize(text: str) -> list[str]:
+    """The tokenizer as a regex: the runs of 0-9a-z in the lowercased text."""
+    return _TOKEN.findall(text.lower())
+
 
 def doc_terms(doc) -> Iterator[str]:
     """Stream unigrams and within-segment adjacency bigrams.
@@ -276,6 +284,7 @@ def oracle_vocabulary(docs, min_df: int = 2) -> Vocabulary:
     order: dict[str, None] = {}
     df_counts: Counter[str] = Counter()
     n_docs = 0
+    empty = 0
     for doc in docs:
         n_docs += 1
         seen: set[str] = set()
@@ -285,11 +294,13 @@ def oracle_vocabulary(docs, min_df: int = 2) -> Vocabulary:
             if term not in seen:
                 seen.add(term)
                 df_counts[term] += 1
+        if not seen:
+            empty += 1
     terms = [term for term in order if df_counts[term] >= min_df]
     if not terms:
         raise FitError(
             f"empty vocabulary: no term reaches document frequency {min_df} "
-            f"across {n_docs} documents"
+            f"across {n_docs} documents, {empty} of which hold no token"
         )
     df = np.array([df_counts[term] for term in terms], dtype=np.int64)
     return Vocabulary(terms=terms, df=df, n_docs=n_docs, min_df=min_df)
@@ -400,6 +411,17 @@ def oracle_lexicon(concepts) -> tuple[dict[tuple[str, ...], str], list[list[str]
             patterns[key] = concept.cui
         stored.append(normalized)
     return patterns, stored
+
+
+def oracle_token_hits(lexicon, utterances, task_map=None) -> list:
+    """(utterance index, hit) pairs from tagging every utterance, with no
+    first-token gate in front of the tagger."""
+    return [
+        (index, hit)
+        for index, words in enumerate(utterances)
+        for hit in tag_utterance(lexicon, words)
+        if task_map is None or hit.cui in task_map
+    ]
 
 
 def oracle_tag(patterns: dict[tuple[str, ...], str], text: str) -> list[tuple[str, int, int]]:

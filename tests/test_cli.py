@@ -10,7 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from clinconv import load_indices, load_label_matrix, load_scores, load_transcripts
+from clinconv import (
+    load_indices,
+    load_label_matrix,
+    load_pipeline,
+    load_scores,
+    load_transcripts,
+    run_pipeline,
+)
 from clinconv.cli import build_parser, main
 from clinconv.concepts import (
     build_lexicon,
@@ -721,3 +728,48 @@ def test_manifests_record_whether_each_fit_converged(workspace, tmp_path, monkey
         for label, m in zip(ovr.labels, ovr.models)
     ]
     assert len(ovr.models) > 1
+
+
+def test_an_empty_selection_says_its_documents_hold_no_token(tmp_path, capsys):
+    """At full scale the diagnosis filter's default threshold keeps no
+    utterance of these 20 visits, and the error says so."""
+
+    def run(*argv) -> int:
+        return main([str(a) for a in argv])
+
+    corpus = tmp_path / "corpus"
+    transcripts, notes = corpus / "transcripts.jsonl", corpus / "notes.jsonl"
+    labels, filter_path = tmp_path / "diag.jsonl", tmp_path / "filter.json"
+    assert run("synth", "--out-dir", corpus, "--n", "20", "--scale", "full", "--seed", "1") == 0
+    assert run("derive-labels", "--transcripts", transcripts, "--notes", notes,
+               "--task", "diagnosis", "--out", labels) == 0
+    assert run("train-filter", "--transcripts", transcripts, "--notes", notes,
+               "--scope", "diagnosis", "--labels", labels, "--out", filter_path) == 0
+    capsys.readouterr()
+    assert run("train", "--transcripts", transcripts, "--labels", labels,
+               "--strategy", "pred:diagnosis", "--filter", filter_path,
+               "--out", tmp_path / "pipe.json") == 2
+    err = capsys.readouterr().err
+    assert "across 20 documents, 20 of which hold no token" in err
+
+
+def test_predict_reads_lone_surrogates_and_the_kelvin_sign(workspace, tmp_path):
+    """A transcript whose JSON escapes a lone surrogate and U+212A scores as
+    run_pipeline scores it: the surrogate splits words, and the Kelvin sign
+    lowercases to "k"."""
+    root, run = workspace
+    rows = [json.loads(line) for line in
+            (root / "corpus" / "transcripts.jsonl").read_text().splitlines()[:3]]
+    for row in rows:
+        for utterance in row["utterances"][::2]:
+            utterance["text"] = "\ud800" + utterance["text"].replace("k", "\u212a") + "\ud800x"
+    odd = tmp_path / "odd.jsonl"
+    odd.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    assert "\\ud800" in odd.read_text() and "\\u212a" in odd.read_text()
+    scores = tmp_path / "scores.jsonl"
+    assert run("predict", "--pipeline", root / "pipe.json", "--transcripts", odd,
+               "--out", scores) == 0
+    expected = run_pipeline(load_pipeline(root / "pipe.json"), load_transcripts(odd))
+    got = load_scores(scores)
+    assert got.example_ids == expected.example_ids
+    assert np.array_equal(got.scores, expected.scores)

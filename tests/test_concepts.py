@@ -25,10 +25,11 @@ from clinconv.concepts import (
     parse_concepts,
     parse_task_map,
     save_concepts_file,
+    token_hits,
     transcript_hits,
     validate_task_map_against_lexicon,
 )
-from oracles import normalize_for_match, oracle_lexicon, oracle_tag
+from oracles import normalize_for_match, oracle_lexicon, oracle_tag, oracle_token_hits
 
 CONCEPTS = [
     Concept("C1", "myocardial infarction", ["heart attack", "mi"]),
@@ -275,3 +276,39 @@ def test_tagger_equals_the_normalized_text_oracle(data):
     assert [(index, h.cui, h.start, h.end) for index, h in got_routed] == routed
     assert umls_noteworthy(lexicon, transcript, task_map) == sorted({hit[0] for hit in routed})
     assert umls_noteworthy(lexicon, transcript) == sorted({hit[0] for hit in expected})
+
+
+def _bundled_words(lexicon) -> list[str]:
+    return sorted({word for pattern in lexicon.patterns for word in pattern})
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_gated_token_hits_equal_tagging_every_utterance(data, lexicon, diagnosis_map, ros_map):
+    """Passing over the utterances that hold no first token of a pattern
+    loses no hit, routed or not."""
+    words = st.sampled_from([*_bundled_words(lexicon), "the", "and", "x1"])
+    utterances = data.draw(st.lists(st.lists(words, max_size=8), max_size=12))
+    for task_map in (None, diagnosis_map, ros_map):
+        expected = oracle_token_hits(lexicon, utterances, task_map)
+        assert token_hits(lexicon, utterances, task_map) == expected
+
+
+def test_noteworthy_and_entity_baseline_equal_tagging_every_utterance(
+    small_corpus, lexicon, diagnosis_map
+):
+    labels = sorted(set(diagnosis_map.labels.values()))
+    column = {label: j for j, label in enumerate(labels)}
+    expected = np.zeros((len(small_corpus.transcripts), len(labels)), dtype=np.uint8)
+    hit_any = False
+    for i, transcript in enumerate(small_corpus.transcripts):
+        utterances = [tokenize(u.text) for u in transcript.utterances]
+        for task_map in (None, diagnosis_map):
+            hits = oracle_token_hits(lexicon, utterances, task_map)
+            assert umls_noteworthy(lexicon, transcript, task_map) == sorted({k for k, _ in hits})
+            hit_any |= bool(hits)
+        for _, hit in hits:
+            expected[i, column[diagnosis_map.labels[hit.cui]]] = 1
+    assert hit_any and expected.any()
+    got = entity_baseline_predict(lexicon, diagnosis_map, small_corpus.transcripts, labels)
+    assert np.array_equal(got, expected)

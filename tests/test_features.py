@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clinconv import features
@@ -21,7 +21,7 @@ from clinconv import (
     tfidf_transform,
     tokenize,
 )
-from oracles import doc_terms, oracle_tfidf, oracle_vocabulary, same_csr
+from oracles import doc_terms, oracle_tfidf, oracle_tokenize, oracle_vocabulary, same_csr
 
 DOCS = [
     [["chest", "pain", "today"], ["no", "chest", "pain"]],
@@ -33,6 +33,26 @@ DOCS = [
 def test_tokenize_lowercases_and_splits_punctuation():
     assert tokenize("COVID-19, again?") == ["covid", "19", "again"]
     assert tokenize("...") == []
+
+
+# Any code point, lone surrogates included (the transcript reader accepts them
+# as JSON escapes), mixed with the ones whose bytes or case the tokenizer must
+# get right: NUL, KELVIN SIGN (lowers to "k"), U+0130 (lowers to "i" and a
+# combining dot) and token characters.
+_TEXT_CHARS = st.one_of(
+    st.characters(exclude_categories=()),
+    st.sampled_from(["\ud800", "\udfff", "\x00", "\u212a", "\u0130", "\x7f", "\x80", "K", "z", "0", " "]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(_TEXT_CHARS, max_size=40), max_size=6))
+@example(["\ud800", "a\x00b", "\u212aidney", "\u0130X", "\udfffCOVID-19\ud800", ""])
+def test_the_byte_table_tokenizer_equals_the_regex(texts):
+    expected = [oracle_tokenize(text) for text in texts]
+    assert [tokenize(text) for text in texts] == expected
+    assert features.tokenize_all(texts) == expected
+    assert features.tokenize_all(iter(texts)) == expected
 
 
 def test_doc_terms_keeps_bigrams_inside_segments():

@@ -31,6 +31,7 @@ from clinconv import (
     save_scores,
     split_pairs,
     tokenize,
+    tokenize_all,
     train_filter,
     train_pipeline,
     utterance_probabilities,
@@ -159,11 +160,21 @@ def test_a_batch_tokenizes_each_utterance_once(monkeypatch, strategy_pipelines):
         calls.append(text)
         return tokenize(text)
 
+    def counted_all(texts):
+        texts = list(texts)
+        calls.extend(texts)
+        return tokenize_all(texts)
+
+    # Every text either tokenizer reads is counted, wherever the name is looked up.
     modules = [m for name, m in sys.modules.items() if name.startswith("clinconv")]
-    holders = [m for m in modules if getattr(m, "tokenize", None) is tokenize]
-    assert features in holders and len(holders) > 2
-    for module in holders:
-        monkeypatch.setattr(module, "tokenize", counted)
+    for name, original, wrapper in (
+        ("tokenize", tokenize, counted),
+        ("tokenize_all", tokenize_all, counted_all),
+    ):
+        holders = [m for m in modules if getattr(m, name, None) is original]
+        assert features in holders and len(holders) > 2
+        for module in holders:
+            monkeypatch.setattr(module, name, wrapper)
     run_pipeline(pipelines["f2k:umls+pred:diagnosis"], heldout)
     assert sorted(calls) == sorted(u.text for t in heldout for u in t.utterances)
     # Given a selection, each selected utterance is tokenized once and no other.

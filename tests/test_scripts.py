@@ -63,3 +63,12 @@ def test_output_digests_do_not_depend_on_the_hash_seed(tmp_path):
     lines = outputs[0].splitlines()
     assert len(lines) > 100 and any(line.endswith("full/f2k.indices.scores.jsonl") for line in lines)
     assert outputs[0] == outputs[1]
+
+
+def test_count_calls_prints_both_pipelines(capsys):
+    assert load_script("count_calls").main(["--n", "40", "--seed", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "28 training, 12 held-out visits" in out
+    rows = table_rows(out)
+    assert list(rows) == ["none", "f2k:umls+pred:diagnosis"]
+    assert all(len(counts) == 2 and min(counts) > 0 for counts in rows.values())
