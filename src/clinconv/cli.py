@@ -369,7 +369,7 @@ def cmd_filter(args) -> None:
             lexicon, task_map = _load_lexicon(args.lexicon, args.task_map)
             inputs += [args.lexicon, args.task_map]
         selections = select_utterances(strategy, transcripts, fm, lexicon, task_map)
-        rows = [(t.id, indices) for t, (indices, _) in zip(transcripts, selections)]
+        rows = [(t.id, indices) for t, indices in zip(transcripts, selections)]
     save_indices(args.out, rows)
     _write_manifest(args, inputs)
     mean_selected = float(np.mean([len(idx) for _, idx in rows])) if rows else 0.0

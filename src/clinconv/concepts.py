@@ -24,14 +24,13 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from itertools import compress, count
-from operator import attrgetter, not_
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 from .errors import LexiconError, ValidationError
-from .features import tokenize, tokenize_all
+from .features import tokenize_all, tokenize_table
 from .jsonio import Fields, as_fields, atomic_write_text, build, read_json
 from .transcripts import Transcript
 
@@ -84,11 +83,12 @@ def build_lexicon(concepts: Iterable[Concept]) -> ConceptLexicon:
         if concept.cui in seen_cuis:
             raise LexiconError(f"duplicate concept id {concept.cui!r}")
         seen_cuis.add(concept.cui)
-        if not tokenize(concept.canonical):
+        names = [concept.canonical, *concept.synonyms]
+        keys = list(map(tuple, tokenize_all(names)))
+        if not keys[0]:
             raise LexiconError(f"concept {concept.cui}: canonical name normalizes to nothing")
         normalized: list[str] = []
-        for synonym in [concept.canonical, *concept.synonyms]:
-            key = tuple(tokenize(synonym))
+        for synonym, key in zip(names, keys):
             if not key:
                 raise LexiconError(
                     f"concept {concept.cui}: synonym {synonym!r} normalizes to nothing"
@@ -247,23 +247,31 @@ def validate_task_map_against_lexicon(task_map: TaskMap, lexicon: ConceptLexicon
 # Entity baseline and concept-hit noteworthiness
 
 
-def token_hits(
+def table_hits(
     lexicon: ConceptLexicon,
-    utterances: Sequence[Sequence[str]],
+    tokens: Sequence[str],
+    lengths: np.ndarray,
     task_map: TaskMap | None = None,
 ) -> list[tuple[int, ConceptHit]]:
-    """(utterance index, hit) pairs across tokenized utterances, in text order.
+    """(utterance index, hit) pairs across the utterances of a token table,
+    in text order: utterance ``u`` holds the next ``lengths[u]`` of ``tokens``.
 
     With a task map, only hits on concepts routed by that map count; without
     one, any concept in the lexicon counts.
     """
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    lengths.cumsum(out=offsets[1:])
     # Only an utterance holding a first token of some pattern can hit; the
     # others are passed over in C, without a call of tag_utterance.
-    candidates = compress(count(), map(not_, map(lexicon.first_tokens.isdisjoint, utterances)))
+    firsts = np.fromiter(map(lexicon.first_tokens.__contains__, tokens), bool, len(tokens))
+    # The utterance of each such token, ascending; dict.fromkeys drops repeats.
+    owners = offsets.searchsorted(firsts.nonzero()[0], "right")
+    owners -= 1
+    bounds = offsets.tolist()
     return [
         (index, hit)
-        for index in candidates
-        for hit in tag_utterance(lexicon, utterances[index])
+        for index in dict.fromkeys(owners.tolist())
+        for hit in tag_utterance(lexicon, tokens[bounds[index] : bounds[index + 1]])
         if task_map is None or hit.cui in task_map
     ]
 
@@ -273,9 +281,9 @@ def transcript_hits(
     transcript: Transcript,
     task_map: TaskMap | None = None,
 ) -> list[tuple[int, ConceptHit]]:
-    """:func:`token_hits` over a transcript's utterances."""
+    """:func:`table_hits` over a transcript's utterances."""
     texts = map(attrgetter("text"), transcript.utterances)
-    return token_hits(lexicon, tokenize_all(texts), task_map)
+    return table_hits(lexicon, *tokenize_table(texts), task_map)
 
 
 def entity_baseline_predict(

@@ -1,29 +1,42 @@
 """Bag-of-ngram features: tokenization, vocabulary fitting, TF-IDF weighting.
 
-A token is a run of ``0-9a-z`` in the lowercased text. :func:`tokenize_all`
-finds them without a Python frame per text: it lowercases, encodes to UTF-8,
-maps every byte outside ``0-9a-z`` to a space with one 256-byte table, and
-splits on the spaces, each step a C-level ``map``. That is exact: lowering
-comes first, so a code point that lowers to ASCII (U+212A KELVIN SIGN to
-"k") still yields its letter, every other non-ASCII code point encodes to
-bytes of 0x80 and above, which become spaces, and ``surrogatepass`` encodes
-a lone surrogate, which the transcript reader accepts, instead of raising.
+A token is a run of ``0-9a-z`` in the lowercased text. :func:`tokenize_table`
+finds the tokens of many texts without a Python frame per text: each text is
+lowercased, encoded to UTF-8 and run through one 256-byte table that maps
+every byte outside ``0-9a-z`` to a space, each step a C-level ``map``; then
+the texts are joined with spaces, decoded and split once. Per text, that is
+exact: lowering comes first, so a code point that lowers to ASCII (U+212A
+KELVIN SIGN to "k") still yields its letter, every other non-ASCII code
+point encodes to bytes of 0x80 and above, which become spaces, and
+``surrogatepass`` encodes a lone surrogate, which the transcript reader
+accepts, instead of raising. The join is exact too, because it comes after
+the table: every byte that is no token character, NUL and newline included,
+is already a space, so a joining space can neither merge two tokens nor
+split one. How many tokens each text holds is read from the joined bytes
+with numpy, as the token starts (a token byte after a space) in its span.
 
-A document is a sequence of utterances, each a list of tokens; bigrams are
-formed inside an utterance, never across two. The transform returns one CSR
-matrix with a row per document.
+The result is a token table: one flat list of the tokens of every
+utterance, in order, and the number of tokens of each utterance. A document
+is a sequence of utterances; bigrams are formed inside an utterance, never
+across two. The transform returns one CSR matrix with a row per document.
+The public functions take documents of utterance token lists and flatten
+each into a table.
 
-Only this module decides how utterances become rows. :func:`blocks` cuts
-documents, as they are read, into a :class:`Block` of whole documents per
-about ``BLOCK_TOKENS`` tokens, so temporaries stay bounded by the block, not
-by the corpus. Callers give each utterance of a block its row, or -1 to leave
-it out: here a document is a row, the filter gives each utterance a row, and
-a pipeline gives each utterance it keeps its transcript's row.
+Only this module decides how utterances become rows. :func:`blocks` joins
+the tables of documents, as they are read, into a :class:`Block` of whole
+documents per about ``BLOCK_TOKENS`` tokens, so temporaries stay bounded by
+the block, not by the corpus. Callers give each utterance of a block its
+row, or -1 to leave it out: here a document is a row, the filter gives each
+utterance a row, and a pipeline gives each utterance it keeps its
+transcript's row. A block whose utterances all have a row is counted from
+its own token list; otherwise the tokens of the kept utterances are
+gathered first.
 
 Fitting interns each block's tokens to keep first-seen term order and keeps
 of the block only its (row, term) counts, as integers; a training matrix is
 weighted from those once the vocabulary is known, so training reads its
-documents once and holds no token of the corpus past its block. The transform looks tokens up in tables that a :class:`Vocabulary` compiles
+documents once and holds no token of the corpus past its block. The
+transform looks tokens up in tables that a :class:`Vocabulary` compiles
 once: a token id for every term and every part of a bigram term, and the
 sorted codes ``left * (n_tokens + 1) + right`` of its bigram terms. No bigram
 is spelled out while counting.
@@ -36,7 +49,7 @@ from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, count, repeat, starmap
+from itertools import chain, compress, count, repeat, starmap
 from operator import itemgetter
 
 import numpy as np
@@ -53,6 +66,9 @@ _TOKEN_BYTES = bytes(b if b in _TOKEN_CHARS else 0x20 for b in range(256))
 # that filter selection scores at once.
 BLOCK_TOKENS = 1 << 15
 
+# The tokens of a sequence of utterances, in order, and how many each holds.
+Table = tuple[list[str], np.ndarray]
+
 # numpy adds up to this many float64 values in one known order: values in
 # whole blocks of eight go to eight running sums by position mod 8, those are
 # added as a tree, and the rest follow one by one (fewer than eight values are
@@ -62,14 +78,38 @@ _PAIRWISE_MAX = 128
 
 def tokenize(text: str) -> list[str]:
     """Lowercased alphanumeric runs; punctuation splits. "COVID-19" -> [covid, 19]."""
-    return tokenize_all((text,))[0]
+    return tokenize_table((text,))[0]
 
 
 def tokenize_all(texts: Iterable[str]) -> list[list[str]]:
-    """:func:`tokenize` of each text, in one chain of C-level maps."""
+    """:func:`tokenize` of each text."""
+    tokens, lengths = tokenize_table(texts)
+    ends = lengths.cumsum().tolist()
+    return list(map(tokens.__getitem__, map(slice, [0, *ends], ends)))
+
+
+def tokenize_table(texts: Iterable[str]) -> Table:
+    """The tokens of all ``texts`` in one list, and how many each text holds,
+    from C-level maps over the texts and one split of them all."""
     encoded = map(str.encode, map(str.lower, texts), repeat("utf-8"), repeat("surrogatepass"))
-    spaced = map(bytes.translate, encoded, repeat(_TOKEN_BYTES))
-    return list(map(str.split, map(bytes.decode, spaced)))
+    spaced = list(map(bytes.translate, encoded, repeat(_TOKEN_BYTES)))
+    # A space before, between and after the texts: each token starts where a
+    # space ends, and text u with its trailing space starts at byte begins[u]
+    # of the rises below.
+    padded = b" ".join([b"", *spaced, b""])
+    is_token = np.frombuffer(padded, np.uint8) != 0x20
+    rises = is_token[1:] > is_token[:-1]
+    sizes = np.fromiter(map(len, spaced), np.int64, len(spaced))
+    sizes += 1
+    begins = sizes.cumsum()
+    begins -= sizes
+    return padded.decode().split(), np.add.reduceat(rises, begins, dtype=np.int64)
+
+
+def token_table(utterances: Sequence[Sequence[str]]) -> Table:
+    """The table of utterances given as token lists."""
+    lengths = np.fromiter(map(len, utterances), np.int64, len(utterances))
+    return list(chain.from_iterable(utterances)), lengths
 
 
 @dataclass(frozen=True)
@@ -148,10 +188,13 @@ def _bigram_splits(terms: Sequence[str]) -> tuple[list[int], list[str], list[str
 
 @dataclass
 class Block:
-    """The utterances of consecutive whole documents, in order: document
-    ``d`` of the block owns ``utterances[starts[d]:starts[d + 1]]``."""
+    """The utterances of consecutive whole documents, in order, as one token
+    table: ``stream`` holds every token, utterance ``u`` the next
+    ``lengths[u]`` of them, and document ``d`` owns utterances
+    ``starts[d]:starts[d + 1]``."""
 
-    utterances: list[Sequence[str]]
+    stream: list[str]
+    lengths: np.ndarray
     starts: np.ndarray
 
     def document_rows(self, selections: Sequence[Sequence[int]] | None = None) -> Rows:
@@ -166,27 +209,28 @@ class Block:
             return self, docs.repeat(self.starts[1:] - self.starts[:-1]), n_docs
         docs = docs.repeat(np.fromiter(map(len, selections), np.int64, n_docs))
         kept = np.fromiter(chain.from_iterable(selections), np.int64, len(docs))
-        rows = np.empty(len(self.utterances), dtype=np.int64)
+        rows = np.empty(len(self.lengths), dtype=np.int64)
         rows.fill(-1)
         rows[self.starts[docs] + kept] = docs
         return self, rows, n_docs
 
     def utterance_rows(self) -> Rows:
         """The block with each utterance on a row of its own."""
-        n = len(self.utterances)
+        n = len(self.lengths)
         return self, np.arange(n), n
 
     def tokens(self, rows: np.ndarray) -> tuple[list[str], np.ndarray, np.ndarray]:
         """The tokens of the utterances that have a row, in order, the row of
         each, and the positions that complete a within-utterance bigram."""
-        kept = (rows >= 0).nonzero()[0]
-        utterances = list(map(self.utterances.__getitem__, kept.tolist()))
-        lengths = np.fromiter(map(len, utterances), np.int64, len(utterances))
-        offsets = np.zeros(len(utterances) + 1, dtype=np.int64)
-        lengths.cumsum(out=offsets[1:])
-        tokens = list(chain.from_iterable(utterances))
+        kept = rows >= 0
+        lengths = self.lengths[kept]
+        tokens = self.stream
+        if len(lengths) < len(kept):
+            tokens = list(compress(tokens, kept.repeat(self.lengths).tolist()))
         # An utterance's first token completes no bigram; the extra slot takes
         # the end offset and the offsets of trailing empty utterances.
+        offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+        lengths.cumsum(out=offsets[1:])
         continues = np.ones(len(tokens) + 1, dtype=bool)
         continues[offsets] = False
         return tokens, rows[kept].repeat(lengths), continues[:-1].nonzero()[0]
@@ -196,34 +240,45 @@ class Block:
 Rows = tuple[Block, np.ndarray, int]
 
 
-def blocks(docs: Iterable[Sequence[Sequence[str]]]) -> Iterator[Block]:
-    """Check ``docs`` and cut them, as they are read, into blocks.
+def blocks(tables: Iterable[Table]) -> Iterator[Block]:
+    """Cut documents, each a table of its utterances, into blocks as they are read.
 
     A block closes once its tokens, plus one per document, reach
     ``BLOCK_TOKENS``: it holds at most that many documents, and about that
     many tokens unless one document alone is longer.
     """
+    stream: list[str] = []
+    lengths: list[np.ndarray] = []
+    starts = [0]
+    for tokens, counts in tables:
+        stream += tokens
+        lengths.append(counts)
+        starts.append(starts[-1] + len(counts))
+        if len(stream) + len(lengths) >= BLOCK_TOKENS:
+            yield Block(stream, np.concatenate(lengths), np.array(starts))
+            stream, lengths, starts = [], [], [0]
+    if lengths:
+        yield Block(stream, np.concatenate(lengths), np.array(starts))
+
+
+def document_blocks(docs: Iterable[Sequence[Sequence[str]]]) -> Iterator[Block]:
+    """Check documents of utterance token lists and cut them into :func:`blocks`."""
     if isinstance(docs, str):
         raise ValidationError("documents must be a sequence, not a string")
-    utterances: list[Sequence[str]] = []
-    starts = [0]
-    size = 0
-    for i, doc in enumerate(docs):
-        if isinstance(doc, str):
-            raise ValidationError(f"document {i} is a string, not a list of token lists")
-        # A string utterance would be read as its characters. map calls type
-        # from C: a Python frame per type, not per utterance.
-        if any(issubclass(t, str) for t in set(map(type, doc))):
-            at = next(u for u, tokens in enumerate(doc) if isinstance(tokens, str))
-            raise ValidationError(f"document {i} utterance {at} is a string, not a token list")
-        utterances.extend(doc)
-        starts.append(len(utterances))
-        size += sum(map(len, doc)) + 1
-        if size >= BLOCK_TOKENS:
-            yield Block(utterances, np.array(starts))
-            utterances, starts, size = [], [0], 0
-    if len(starts) > 1:
-        yield Block(utterances, np.array(starts))
+    return blocks(map(_checked_table, docs, count()))
+
+
+def _checked_table(doc: Sequence[Sequence[str]], i: int) -> Table:
+    """The :func:`token_table` of document ``i``, which holds no string where
+    a document or an utterance should be."""
+    if isinstance(doc, str):
+        raise ValidationError(f"document {i} is a string, not a list of token lists")
+    # A string utterance would be read as its characters. map calls type
+    # from C: a Python frame per type, not per utterance.
+    if any(issubclass(t, str) for t in set(map(type, doc))):
+        at = next(u for u, tokens in enumerate(doc) if isinstance(tokens, str))
+        raise ValidationError(f"document {i} utterance {at} is a string, not a token list")
+    return token_table(doc)
 
 
 def _index_dtype(bound: int) -> type:
@@ -309,7 +364,7 @@ def fit_vocabulary(docs: Iterable[Sequence[Sequence[str]]], min_df: int = 2) -> 
     Terms keep first-seen order, which makes feature indices reproducible for
     a given corpus ordering: each token, then the bigram it completes.
     """
-    return _fit(map(Block.document_rows, blocks(docs)), min_df)[0]
+    return _fit(map(Block.document_rows, document_blocks(docs)), min_df)[0]
 
 
 def fit_tfidf(
@@ -317,7 +372,7 @@ def fit_tfidf(
 ) -> tuple[Vocabulary, sp.csr_matrix]:
     """:func:`fit_vocabulary` and :func:`tfidf_transform` of the same
     documents, equal bit for bit, from one pass over them."""
-    return fit_rows(map(Block.document_rows, blocks(docs)), min_df)
+    return fit_rows(map(Block.document_rows, document_blocks(docs)), min_df)
 
 
 def fit_rows(pieces: Iterable[Rows], min_df: int = 2) -> tuple[Vocabulary, sp.csr_matrix]:
@@ -427,7 +482,7 @@ def tfidf_transform(vocab: Vocabulary, docs: Sequence[Sequence[Sequence[str]]]) 
     Out-of-vocabulary terms are dropped; a document with no in-vocabulary
     term maps to the zero row. Column indices ascend within each row.
     """
-    return transform_rows(vocab, map(Block.document_rows, blocks(docs)))
+    return transform_rows(vocab, map(Block.document_rows, document_blocks(docs)))
 
 
 def transform_rows(vocab: Vocabulary, pieces: Iterable[Rows]) -> sp.csr_matrix:

@@ -27,23 +27,24 @@ from __future__ import annotations
 import re
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import attrgetter
+from itertools import chain, repeat
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from .annotations import SoapNote, noteworthy_targets
-from .concepts import ConceptLexicon, TaskMap, token_hits
+from .concepts import ConceptLexicon, TaskMap, table_hits
 from .errors import ConfigError, TrainingError, ValidationError
 from .jsonio import Fields, as_fields, build, read_json, read_jsonl, write_jsonl
 from .features import (
     Block,
+    Table,
     Vocabulary,
     blocks,
     fit_rows,
     read_vocabulary,
-    tokenize_all,
+    tokenize_table,
     transform_rows,
     vocabulary_entries,
 )
@@ -142,8 +143,9 @@ class FilterModel:
             raise ConfigError(f"threshold {self.threshold} outside [0, 1]")
 
 
-def utterance_tokens(transcript: Transcript) -> list[list[str]]:
-    return tokenize_all(map(attrgetter("text"), transcript.utterances))
+def utterance_table(transcript: Transcript) -> Table:
+    """The token table of a transcript's utterances."""
+    return tokenize_table(map(attrgetter("text"), transcript.utterances))
 
 
 def train_filter(
@@ -169,7 +171,7 @@ def train_filter(
     )
     # Tokenized as the fit reads them, so no token list outlives its block.
     transcripts = (transcript for transcript, _ in corpus)
-    rows = map(Block.utterance_rows, blocks(map(utterance_tokens, transcripts)))
+    rows = map(Block.utterance_rows, blocks(map(utterance_table, transcripts)))
     vocab, X = fit_rows(rows, min_df=min_df)
     model = train_logistic(X, targets.astype(float), reg_c=reg_c)
     if threshold is None:
@@ -187,7 +189,7 @@ def _probabilities(fm: FilterModel, transcripts: Iterable[Transcript]) -> Iterat
     """:func:`utterance_probabilities` of each transcript, scored block by block."""
     return (
         probs
-        for block in blocks(map(utterance_tokens, transcripts))
+        for block in blocks(map(utterance_table, transcripts))
         for probs in _block_probabilities(fm, block)
     )
 
@@ -273,15 +275,11 @@ def select_utterances(
     filter_model: FilterModel | None = None,
     lexicon: ConceptLexicon | None = None,
     task_map: TaskMap | None = None,
-) -> Iterator[tuple[list[int], list[list[str]]]]:
-    """Per transcript, in order: the selected utterance indices (ascending and
-    duplicate-free) and the tokens of every utterance."""
+) -> Iterator[list[int]]:
+    """Per transcript, in order, the selected utterance indices, ascending
+    and duplicate-free."""
     selected = select_blocks(strategy, transcripts, filter_model, lexicon, task_map)
-    return (
-        (indices, block.utterances[start:end])
-        for block, selections in selected
-        for indices, start, end in zip(selections, block.starts, block.starts[1:])
-    )
+    return chain.from_iterable(map(itemgetter(1), selected))
 
 
 def select_blocks(
@@ -306,7 +304,7 @@ def select_blocks(
             )
     return (
         (block, _select_block(strategy, block, filter_model, lexicon, task_map))
-        for block in blocks(map(utterance_tokens, transcripts))
+        for block in blocks(map(utterance_table, transcripts))
     )
 
 
@@ -317,29 +315,32 @@ def _select_block(
     lexicon: ConceptLexicon | None,
     task_map: TaskMap | None,
 ) -> list[list[int]]:
+    starts = block.starts.tolist()
+    bounds = zip(starts, starts[1:])
+    if strategy.kind == "none":
+        return [list(range(end - start)) for start, end in bounds]
+    # Tagged once for the block; each transcript reads its slice.
+    hit = np.zeros(len(block.lengths), dtype=bool)
+    if strategy.needs_lexicon:
+        hits = table_hits(lexicon, block.stream, block.lengths, task_map)
+        hit[[index for index, _ in hits]] = True
     probabilities = repeat(None)
     if strategy.needs_model:
         probabilities = _block_probabilities(filter_model, block)
-    starts = block.starts.tolist()
     return [
-        _select(strategy, block.utterances[start:end], probs, filter_model, lexicon, task_map)
-        for start, end, probs in zip(starts, starts[1:], probabilities)
+        _select(strategy, hit[start:end].nonzero()[0].tolist(), probs, filter_model)
+        for (start, end), probs in zip(bounds, probabilities)
     ]
 
 
 def _select(
     strategy: FilterStrategy,
-    tokens: list[list[str]],
+    hits: list[int],
     probs: np.ndarray | None,
     filter_model: FilterModel | None,
-    lexicon: ConceptLexicon | None,
-    task_map: TaskMap | None,
 ) -> list[int]:
-    if strategy.kind == "none":
-        return list(range(len(tokens)))
-    hits: list[int] = []
-    if strategy.needs_lexicon:
-        hits = sorted({index for index, _ in token_hits(lexicon, tokens, task_map)})
+    """One transcript's selection from the utterances with a concept hit,
+    ascending, and the filter's probabilities."""
     if strategy.kind == "umls":
         return hits
     if strategy.kind == "fill_to_k":
@@ -362,7 +363,7 @@ def apply_filter(
 ) -> list[int]:
     """Selected utterance indices, ascending and duplicate-free: the
     selection of :func:`select_utterances` for one transcript."""
-    [(indices, _)] = select_utterances(strategy, [transcript], filter_model, lexicon, task_map)
+    [indices] = select_utterances(strategy, [transcript], filter_model, lexicon, task_map)
     return indices
 
 

@@ -177,12 +177,25 @@ def predict_proba_matrix(model: LogisticModel, X) -> np.ndarray:
 
 @dataclass
 class OneVsRestModel:
+    """One logistic head per label. Construction also lays the heads out as
+    one ``(n_features, n_labels)`` weight matrix and a bias vector, which
+    :func:`ovr_proba_matrix` scores with one product; each head's ``weights``
+    then reads its column of that matrix."""
+
     labels: tuple[str, ...]
     models: list[LogisticModel] = field(default_factory=list)
     reg_c: float = 1.0
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
+    bias: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.labels = tuple(self.labels)
+        columns = [m.weights for m in self.models]
+        # C order: scipy multiplies a CSR matrix by it without a copy.
+        self.weights = np.column_stack(columns) if columns else np.zeros((0, 0))
+        self.bias = np.array([m.bias for m in self.models], dtype=np.float64)
+        for j, m in enumerate(self.models):
+            m.weights = self.weights[:, j]
 
 
 def train_ovr(
@@ -204,8 +217,14 @@ def train_ovr(
 
 
 def ovr_proba_matrix(model: OneVsRestModel, X) -> np.ndarray:
-    """Per-label probabilities, shape (n_examples, n_labels)."""
-    columns = [predict_proba_matrix(m, X) for m in model.models]
-    if not columns:
-        return np.zeros((_as_matrix(X).shape[0], 0))
-    return np.column_stack(columns)
+    """Per-label probabilities, shape (n_examples, n_labels): the
+    :func:`predict_proba_matrix` of each head, from one product."""
+    X = _as_matrix(X)
+    if not model.models:
+        return np.zeros((X.shape[0], 0))
+    if X.shape[1] != model.weights.shape[0]:
+        raise TrainingError(
+            f"feature dimension {X.shape[1]} does not match weights "
+            f"{model.weights.shape[0]}"
+        )
+    return expit(X @ model.weights + model.bias)

@@ -35,11 +35,12 @@ from .errors import ConfigError, ParseError, ValidationError
 from .features import (
     Block,
     Rows,
+    Table,
     Vocabulary,
     blocks,
     fit_rows,
     read_vocabulary,
-    tokenize_all,
+    tokenize_table,
     transform_rows,
     vocabulary_entries,
 )
@@ -166,14 +167,12 @@ def _selected_rows(
     if override is None:
         selections = select_blocks(config.strategy, transcripts, filter_model, lexicon, task_map)
         return starmap(Block.document_rows, selections)
-    docs = (_override_tokens(override, transcript) for transcript in transcripts)
-    return map(Block.document_rows, blocks(docs))
+    tables = (_override_table(override, transcript) for transcript in transcripts)
+    return map(Block.document_rows, blocks(tables))
 
 
-def _override_tokens(
-    override: Mapping[str, Sequence[int]], transcript: Transcript
-) -> list[list[str]]:
-    """The tokens of a transcript's provided selection, checked against its length."""
+def _override_table(override: Mapping[str, Sequence[int]], transcript: Transcript) -> Table:
+    """The token table of a transcript's provided selection, checked against its length."""
     if transcript.id not in override:
         raise ConfigError(f"no provided indices for transcript {transcript.id!r}")
     n = len(transcript.utterances)
@@ -183,7 +182,7 @@ def _override_tokens(
             f"filtered index outside transcript {transcript.id!r} of {n} utterances"
         )
     selected = map(transcript.utterances.__getitem__, indices)
-    return tokenize_all(map(attrgetter("text"), selected))
+    return tokenize_table(map(attrgetter("text"), selected))
 
 
 def train_pipeline(

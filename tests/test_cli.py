@@ -228,7 +228,7 @@ def test_filter_with_a_lexicon_strategy_writes_select_utterances(workspace, conc
                "--strategy", "umls", "--lexicon", LEXICON, "--task-map", TASK_MAP,
                "--out", out) == 0
     selections = select_utterances(parse_strategy("umls"), transcripts, None, lexicon, task_map)
-    expected = {t.id: indices for t, (indices, _) in zip(transcripts, selections, strict=True)}
+    expected = {t.id: indices for t, indices in zip(transcripts, selections, strict=True)}
     assert any(expected.values())
     assert load_indices(out, {}) == expected
 

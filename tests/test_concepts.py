@@ -25,10 +25,11 @@ from clinconv.concepts import (
     parse_concepts,
     parse_task_map,
     save_concepts_file,
-    token_hits,
+    table_hits,
     transcript_hits,
     validate_task_map_against_lexicon,
 )
+from clinconv.features import token_table
 from oracles import normalize_for_match, oracle_lexicon, oracle_tag, oracle_token_hits
 
 CONCEPTS = [
@@ -291,7 +292,7 @@ def test_gated_token_hits_equal_tagging_every_utterance(data, lexicon, diagnosis
     utterances = data.draw(st.lists(st.lists(words, max_size=8), max_size=12))
     for task_map in (None, diagnosis_map, ros_map):
         expected = oracle_token_hits(lexicon, utterances, task_map)
-        assert token_hits(lexicon, utterances, task_map) == expected
+        assert table_hits(lexicon, *token_table(utterances), task_map) == expected
 
 
 def test_noteworthy_and_entity_baseline_equal_tagging_every_utterance(

@@ -55,6 +55,57 @@ def test_the_byte_table_tokenizer_equals_the_regex(texts):
     assert features.tokenize_all(iter(texts)) == expected
 
 
+# Utterance texts for the block tokenizer: the characters above, plus newline,
+# Greek capital sigma (whose lowercase depends on the letter after it) and
+# its two lowercase forms.
+_UTTERANCE_CHARS = st.one_of(
+    _TEXT_CHARS, st.sampled_from(["\n", "\u03a3", "\u03c3", "\u03c2", "-"])
+)
+
+
+@pytest.mark.parametrize("block_tokens", [1, 4, features.BLOCK_TOKENS])
+@settings(max_examples=150, deadline=None)
+@given(
+    transcripts=st.lists(
+        st.lists(st.text(_UTTERANCE_CHARS, max_size=30), max_size=6), max_size=5
+    )
+)
+@example(
+    transcripts=[
+        [],
+        ["a\x00b", "\n", "", "...", "\u212aidney\n\u0130X", "\u039f\u03a3 \u03a3a \u03c3\u03c2"],
+        ["\ud800COVID-19\udfff", "\x00"],
+        [""],
+        [],
+    ]
+)
+def test_the_block_tokenizer_equals_the_regex_per_utterance(block_tokens, transcripts):
+    """Each transcript's flat tokens are its utterances' regex tokens, in
+    order, and its counts their lengths; blocks of whole transcripts hold
+    the same table, cut at about BLOCK_TOKENS."""
+    expected = [[oracle_tokenize(text) for text in texts] for texts in transcripts]
+    for texts, utterances in zip(transcripts, expected):
+        tokens, lengths = features.tokenize_table(texts)
+        assert tokens == [token for words in utterances for token in words]
+        assert lengths.dtype == np.int64 and lengths.tolist() == list(map(len, utterances))
+        assert features.tokenize_all(texts) == utterances
+    with mock.patch.object(features, "BLOCK_TOKENS", block_tokens):
+        blocks = list(features.blocks(map(features.tokenize_table, transcripts)))
+    utterances = [tokens for doc in expected for tokens in doc]
+    assert [token for block in blocks for token in block.stream] == [
+        token for words in utterances for token in words
+    ]
+    assert [n for block in blocks for n in block.lengths.tolist()] == list(map(len, utterances))
+    sizes = [len(doc) for doc in expected]
+    assert [n for block in blocks for n in np.diff(block.starts).tolist()] == sizes
+    # Every block but the last reaches the budget, and would not without its
+    # last transcript.
+    for block in blocks[:-1]:
+        size = len(block.stream) + len(block.starts) - 1
+        last = block.lengths[block.starts[-2] :].sum() + 1
+        assert size >= block_tokens > size - last
+
+
 def test_doc_terms_keeps_bigrams_inside_segments():
     terms = list(doc_terms([["a", "b"], ["c"]]))
     assert terms == ["a", "b", "a b", "c"]

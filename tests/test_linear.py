@@ -8,6 +8,7 @@ import scipy.sparse as sp
 
 from clinconv import (
     LogisticModel,
+    OneVsRestModel,
     TrainingError,
     train_logistic,
     train_ovr,
@@ -139,6 +140,54 @@ def test_ovr_shape_mismatch_rejected(rng):
     X, _ = random_problem(rng)
     with pytest.raises(TrainingError):
         train_ovr(X, np.zeros((X.shape[0], 2)), labels=["only"])
+
+
+def head_by_head(models, X) -> np.ndarray:
+    """The reference for ovr_proba_matrix: each head scored on its own."""
+    columns = [predict_proba_matrix(m, X) for m in models]
+    return np.column_stack(columns) if columns else np.zeros((X.shape[0], 0))
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 90])
+@pytest.mark.parametrize("n_labels", [0, 1, 15])
+def test_one_product_scores_every_head_bit_for_bit(rng, n_rows, n_labels):
+    """Random CSR rows, L2-normalized as the featurizer leaves them, and heads
+    with random weights, zero heads and large biases."""
+    X = sp.random(n_rows, 40, density=0.2, format="csr", random_state=rng)
+    norms = np.sqrt(np.asarray(X.multiply(X).sum(axis=1))).ravel()
+    X = sp.csr_matrix(sp.diags(1.0 / np.where(norms > 0, norms, 1.0)) @ X)
+    models = [
+        LogisticModel(weights=rng.standard_normal(40) * (j % 4), bias=float(rng.normal(0, 5)))
+        for j in range(n_labels)
+    ]
+    # Scored before the wrapper lays the heads out as one matrix.
+    weights = [m.weights for m in models]
+    expected = head_by_head(models, X)
+    ovr = OneVsRestModel(labels=[str(j) for j in range(n_labels)], models=models)
+    got = ovr_proba_matrix(ovr, X)
+    assert got.shape == (n_rows, n_labels)
+    assert np.array_equal(got, expected)
+    # Each head still reads its own weights.
+    for m, own in zip(ovr.models, weights, strict=True):
+        assert np.array_equal(m.weights, own)
+
+
+def test_trained_heads_score_bit_for_bit_in_one_product(rng):
+    """Heads from train_ovr, one of them prior-only, on sparse and dense rows."""
+    X = sp.random(60, 30, density=0.3, format="csr", random_state=rng)
+    Y = rng.integers(0, 2, size=(60, 4)).astype(float)
+    Y[:, 2] = 0.0
+    ovr = train_ovr(X, Y, labels=["a", "b", "c", "d"])
+    assert ovr.weights.shape == (30, 4) and ovr.weights.flags.c_contiguous
+    assert all(np.shares_memory(m.weights, ovr.weights) for m in ovr.models)
+    assert not ovr.models[2].weights.any()
+    heads = ovr.models
+    assert np.array_equal(ovr_proba_matrix(ovr, X), head_by_head(heads, X))
+    assert np.array_equal(ovr_proba_matrix(ovr, X[:1]), head_by_head(heads, X[:1]))
+    dense = ovr_proba_matrix(ovr, X.toarray())
+    np.testing.assert_allclose(dense, head_by_head(heads, X), atol=1e-12)
+    with pytest.raises(TrainingError, match="does not match"):
+        ovr_proba_matrix(ovr, X[:, :29])
 
 
 def test_predict_dimension_mismatch_rejected():

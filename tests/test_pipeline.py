@@ -31,13 +31,13 @@ from clinconv import (
     save_scores,
     split_pairs,
     tokenize,
-    tokenize_all,
     train_filter,
     train_pipeline,
     utterance_probabilities,
 )
 from clinconv.linear import ovr_proba_matrix, predict_proba_matrix
 from clinconv import features
+from clinconv.features import tokenize_table
 from clinconv.filtering import select_utterances
 from clinconv.metrics import METRIC_NAMES
 from clinconv.pipeline import input_agnostic_predict, micro_f1_optimal_prefix
@@ -135,8 +135,7 @@ def test_batched_selections_equal_apply_filter(strategy_pipelines, lexicon, diag
         for text in STRATEGIES:
             strategy = parse_strategy(text)
             batched = select_utterances(strategy, heldout, fm, lexicon, diagnosis_map)
-            for transcript, (indices, tokens) in zip(heldout, batched, strict=True):
-                assert tokens == [tokenize(u.text) for u in transcript.utterances]
+            for transcript, indices in zip(heldout, batched, strict=True):
                 alone = apply_filter(strategy, transcript, fm, lexicon, diagnosis_map)
                 assert indices == alone, (text, transcript.id)
 
@@ -151,30 +150,41 @@ def test_pipeline_save_load_reproduces_scores(tmp_path, strategy_pipelines):
         assert np.array_equal(run_pipeline(load_pipeline(path), heldout).scores, original), strategy
 
 
+def test_pipeline_heads_score_bit_for_bit_in_one_product(
+    strategy_pipelines, lexicon, diagnosis_map
+):
+    """Every head of a trained pipeline, on the rows its strategy selects: all
+    held-out transcripts, one and none."""
+    heldout, fm, pipelines = strategy_pipelines
+    for text, pipeline in pipelines.items():
+        strategy = parse_strategy(text)
+        docs = []
+        for transcript in heldout:
+            kept = apply_filter(strategy, transcript, fm, lexicon, diagnosis_map)
+            docs.append([tokenize(transcript.utterances[i].text) for i in kept])
+        X = oracle_tfidf(pipeline.vocab, docs)
+        for rows in (X, X[:1], X[:0]):
+            expected = np.column_stack([predict_proba_matrix(m, rows) for m in pipeline.ovr.models])
+            assert np.array_equal(ovr_proba_matrix(pipeline.ovr, rows), expected), text
+
+
 def test_a_batch_tokenizes_each_utterance_once(monkeypatch, strategy_pipelines):
     """The filter, the tagger and the featurizer share one token pass."""
     heldout, _, pipelines = strategy_pipelines
     calls = []
 
-    def counted(text):
-        calls.append(text)
-        return tokenize(text)
-
-    def counted_all(texts):
+    def counted(texts):
         texts = list(texts)
         calls.extend(texts)
-        return tokenize_all(texts)
+        return tokenize_table(texts)
 
-    # Every text either tokenizer reads is counted, wherever the name is looked up.
+    # tokenize and tokenize_all read texts through tokenize_table too, so every
+    # text the package tokenizes is counted, wherever the name is looked up.
     modules = [m for name, m in sys.modules.items() if name.startswith("clinconv")]
-    for name, original, wrapper in (
-        ("tokenize", tokenize, counted),
-        ("tokenize_all", tokenize_all, counted_all),
-    ):
-        holders = [m for m in modules if getattr(m, name, None) is original]
-        assert features in holders and len(holders) > 2
-        for module in holders:
-            monkeypatch.setattr(module, name, wrapper)
+    holders = [m for m in modules if getattr(m, "tokenize_table", None) is tokenize_table]
+    assert features in holders and len(holders) > 2
+    for module in holders:
+        monkeypatch.setattr(module, "tokenize_table", counted)
     run_pipeline(pipelines["f2k:umls+pred:diagnosis"], heldout)
     assert sorted(calls) == sorted(u.text for t in heldout for u in t.utterances)
     # Given a selection, each selected utterance is tokenized once and no other.
@@ -199,7 +209,7 @@ def test_a_strategys_own_selection_as_override_gives_the_same_pipeline(
 
     def own(sample):
         selections = select_utterances(parsed, sample, fm, lexicon, diagnosis_map)
-        return {t.id: indices for t, (indices, _) in zip(sample, selections, strict=True)}
+        return {t.id: indices for t, indices in zip(sample, selections, strict=True)}
 
     pipeline = train_pipeline(
         PipelineConfig(task="diagnosis"),

@@ -71,4 +71,7 @@ def test_count_calls_prints_both_pipelines(capsys):
     assert "28 training, 12 held-out visits" in out
     rows = table_rows(out)
     assert list(rows) == ["none", "f2k:umls+pred:diagnosis"]
-    assert all(len(counts) == 2 and min(counts) > 0 for counts in rows.values())
+    for calls_and_collections in rows.values():
+        calls, collections = calls_and_collections[:2], calls_and_collections[2:]
+        assert min(calls) > 0
+        assert len(collections) == 3 and all(n >= 0 and n == int(n) for n in collections)
