@@ -69,12 +69,6 @@ BLOCK_TOKENS = 1 << 15
 # The tokens of a sequence of utterances, in order, and how many each holds.
 Table = tuple[list[str], np.ndarray]
 
-# numpy adds up to this many float64 values in one known order: values in
-# whole blocks of eight go to eight running sums by position mod 8, those are
-# added as a tree, and the rest follow one by one (fewer than eight values are
-# added one by one). Row norms follow that order to stay bit-equal to np.sum.
-_PAIRWISE_MAX = 128
-
 
 def tokenize(text: str) -> list[str]:
     """Lowercased alphanumeric runs; punctuation splits. "COVID-19" -> [covid, 19]."""
@@ -367,14 +361,6 @@ def fit_vocabulary(docs: Iterable[Sequence[Sequence[str]]], min_df: int = 2) -> 
     return _fit(map(Block.document_rows, document_blocks(docs)), min_df)[0]
 
 
-def fit_tfidf(
-    docs: Iterable[Sequence[Sequence[str]]], min_df: int = 2
-) -> tuple[Vocabulary, sp.csr_matrix]:
-    """:func:`fit_vocabulary` and :func:`tfidf_transform` of the same
-    documents, equal bit for bit, from one pass over them."""
-    return fit_rows(map(Block.document_rows, document_blocks(docs)), min_df)
-
-
 def fit_rows(pieces: Iterable[Rows], min_df: int = 2) -> tuple[Vocabulary, sp.csr_matrix]:
     """The vocabulary of the rows of ``pieces``, each a document, and their
     :func:`transform_rows` matrix, from one pass. Past its block a row is held
@@ -398,7 +384,7 @@ def fit_rows(pieces: Iterable[Rows], min_df: int = 2) -> tuple[Vocabulary, sp.cs
         end = at + len(rows)
         indices[at:end] = column_of[terms[kept]]
         data[at:end] = counts[kept]
-        _normalize(data[at:end], indices[at:end], lengths, vocab._idf)
+        _normalize(data[at:end], indices[at:end], rows, vocab._idf)
         indptr[row + 1 : row + 1 + len(lengths)] = at + np.cumsum(lengths)
         at, row = end, row + len(lengths)
     return vocab, sp.csr_matrix((data, indices, indptr), shape=(vocab.n_docs, len(vocab)))
@@ -434,46 +420,17 @@ def _block_counts(vocab: Vocabulary, block: Block, rows: np.ndarray) -> tuple[np
     return keys[starts], np.diff(starts, append=len(keys))
 
 
-def _row_sums(squares: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """``np.sum`` of each row's consecutive slice of ``squares``, bit for bit.
+def _normalize(values: np.ndarray, columns: np.ndarray, rows: np.ndarray, idf: np.ndarray) -> None:
+    """Weight one block's counts by idf and scale each row to unit L2 norm, in place.
 
-    Rows of up to ``_PAIRWISE_MAX`` entries are summed together in numpy's
-    own order, padded with zeros, which leave every partial sum unchanged.
-    Longer rows of one length are summed together as a 2-D array. A segment
-    sum such as np.add.reduceat can differ in the last bit.
+    ``rows`` holds the row of each value. A row's norm is the square root of
+    its squares added one by one in entry order, from 0.0, which is how
+    ``np.bincount`` sums its weights; so a row's values depend on that row alone.
     """
-    starts = np.cumsum(lengths) - lengths
-    sums = np.zeros(len(lengths))
-    rows = np.flatnonzero((lengths > 0) & (lengths <= _PAIRWISE_MAX))
-    n, first = lengths[rows], starts[rows]
-    lead = n - n % 8  # the values in whole blocks of eight
-    padded = np.append(squares, 0.0)  # index len(squares) reads a zero
-
-    def gather(begin: np.ndarray, size: np.ndarray, width: int) -> np.ndarray:
-        """Per row, ``width`` values from ``begin``; zeros past ``size`` of them."""
-        offsets = np.arange(width)
-        return padded[np.where(offsets < size[:, None], begin[:, None] + offsets, len(squares))]
-
-    partial = np.zeros((len(rows), 8))
-    for offset in range(0, lead.max(initial=0), 8):
-        partial += gather(first + offset, lead - offset, 8)
-    p = partial.T
-    total = ((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7]))
-    for column in gather(first + lead, n - lead, 7).T:
-        total += column
-    sums[rows] = total
-    for length in np.unique(lengths[lengths > _PAIRWISE_MAX]).tolist():
-        rows = np.flatnonzero(lengths == length)
-        sums[rows] = np.sum(squares[starts[rows, None] + np.arange(length)], axis=1)
-    return sums
-
-
-def _normalize(values: np.ndarray, columns: np.ndarray, lengths: np.ndarray, idf: np.ndarray) -> None:
-    """Weight one block's counts by idf and scale each row to unit L2 norm, in place."""
     values *= idf[columns]
-    norms = np.sqrt(_row_sums(values**2, lengths))
+    norms = np.sqrt(np.bincount(rows, weights=values * values))
     norms[~(norms > 0)] = 1.0
-    values /= np.repeat(norms, lengths)
+    values /= norms[rows]
 
 
 def tfidf_transform(vocab: Vocabulary, docs: Sequence[Sequence[Sequence[str]]]) -> sp.csr_matrix:
@@ -497,7 +454,7 @@ def transform_rows(vocab: Vocabulary, pieces: Iterable[Rows]) -> sp.csr_matrix:
         rows, columns = np.divmod(keys, max(width, 1))
         lengths = np.bincount(rows, minlength=n_rows)
         weights = counts.astype(np.float64)
-        _normalize(weights, columns, lengths, vocab._idf)
+        _normalize(weights, columns, rows, vocab._idf)
         indptr.frombytes((len(indices) + np.cumsum(lengths)).tobytes())
         indices.frombytes(columns.astype(indices.typecode).tobytes())
         values.frombytes(weights.tobytes())

@@ -319,12 +319,20 @@ def document_counts(vocab, doc) -> tuple[np.ndarray, np.ndarray]:
 
 
 def document_tfidf(vocab, doc) -> tuple[np.ndarray, np.ndarray]:
-    """Counts times idf, divided by the row's L2 norm when it is positive."""
+    """Counts times idf, divided by the row's L2 norm when it is positive.
+
+    The norm adds the squares one by one in index order, from 0.0. Neither
+    ``sum()``, which compensates float sums from Python 3.12 on, nor
+    ``math.fsum`` adds in that order.
+    """
     indices, values = document_counts(vocab, doc)
     if len(indices) == 0:
         return indices, values
     weights = values * vocab.idf()[indices]
-    norm = np.sqrt(np.sum(weights**2))
+    total = 0.0
+    for w in weights.tolist():
+        total += w * w
+    norm = math.sqrt(total)
     if norm > 0:
         weights = weights / norm
     return indices, weights

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import re
 from unittest import mock
 
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clinconv import features
-from clinconv.features import fit_tfidf
+from clinconv.features import Block, document_blocks, fit_rows
 from clinconv import (
     FitError,
     ValidationError,
@@ -178,7 +179,7 @@ def test_transforms_reject_a_string_document():
     "featurize",
     [
         lambda docs: fit_vocabulary(docs, min_df=1),
-        lambda docs: fit_tfidf(docs, min_df=1),
+        lambda docs: fit_rows(map(Block.document_rows, document_blocks(docs)), min_df=1),
         lambda docs: tfidf_transform(fit_vocabulary(DOCS, min_df=1), docs),
     ],
     ids=["fit_vocabulary", "fit_tfidf", "tfidf_transform"],
@@ -326,15 +327,23 @@ def test_odd_terms_equal_the_oracles(terms):
     assert same_csr(tfidf_transform(vocab, ODD_DOCS), oracle_tfidf(vocab, ODD_DOCS))
 
 
-def test_row_sums_equal_each_rows_own_sum():
-    """Every row length from 1 to 300, shuffled among empty rows: numpy's
-    blocks of eight, its tail of up to seven, and rows past 128 entries."""
+def test_row_norms_add_each_rows_squares_in_order():
+    """Every row length from 0 to 300, shuffled among empty rows, with squares
+    scaled by 1e-6, 1 and 1e6: each row is divided by the square root of its
+    squares added one by one, in order, from 0.0, bit for bit."""
     rng = np.random.default_rng(7)
     lengths = rng.permutation(np.concatenate([np.arange(301), np.arange(1, 41), [0, 0]]))
-    squares = rng.random(lengths.sum()) ** 2 * rng.choice([1e-6, 1.0, 1e6], lengths.sum())
-    starts = np.cumsum(lengths) - lengths
-    expected = [np.sum(squares[start : start + n]) for start, n in zip(starts, lengths)]
-    assert np.array_equal(features._row_sums(squares, lengths), expected)
+    values = rng.random(lengths.sum()) * rng.choice([1e-3, 1.0, 1e3], lengths.sum())
+    rows = np.repeat(np.arange(len(lengths)), lengths)
+    expected = []
+    for row in np.split(values, np.cumsum(lengths)[:-1]):
+        total = 0.0
+        for value in row.tolist():
+            total += value * value
+        expected.extend(value / math.sqrt(total) for value in row.tolist())
+    normalized = values.copy()
+    features._normalize(normalized, np.zeros(len(values), dtype=np.int64), rows, np.ones(1))
+    assert np.array_equal(normalized, expected)
 
 
 @pytest.mark.parametrize("block_tokens", [1, 4])
@@ -348,15 +357,16 @@ def test_featurizer_equals_the_oracles_across_small_blocks(block_tokens):
 
 @given(token_docs(), st.integers(min_value=1, max_value=3))
 @settings(max_examples=100, deadline=None)
-def check_fit_tfidf_equals_two_calls_and_the_oracles(docs, min_df):
+def check_fit_rows_equals_two_calls_and_the_oracles(docs, min_df):
     docs = [*docs, [], [[]]]  # an empty document, and one of an empty segment
     try:
         expected = oracle_vocabulary(docs, min_df=min_df)
     except FitError as error:
         with pytest.raises(FitError, match=re.escape(str(error))):
-            fit_tfidf(iter(docs), min_df=min_df)
+            fit_rows(map(Block.document_rows, document_blocks(iter(docs))), min_df=min_df)
         return
-    vocab, X = fit_tfidf(iter(docs), min_df=min_df)  # one pass over a one-shot iterator
+    # One pass over a one-shot iterator.
+    vocab, X = fit_rows(map(Block.document_rows, document_blocks(iter(docs))), min_df=min_df)
     two_calls = fit_vocabulary(docs, min_df=min_df)
     for other in (expected, two_calls):
         assert vocab.terms == other.terms
@@ -371,10 +381,10 @@ def check_fit_tfidf_equals_two_calls_and_the_oracles(docs, min_df):
 def test_fit_tfidf_equals_fit_then_transform_and_the_oracles(block_tokens):
     """Blocks of one token, of four, and of the default size."""
     with mock.patch.object(features, "BLOCK_TOKENS", block_tokens):
-        check_fit_tfidf_equals_two_calls_and_the_oracles()
+        check_fit_rows_equals_two_calls_and_the_oracles()
 
 
 @pytest.mark.parametrize("docs", [DOCS, ODD_DOCS], ids=["docs", "odd-docs"])
 def test_fit_tfidf_counts_tokens_with_spaces_as_their_bigrams(docs):
-    vocab, X = fit_tfidf(docs, min_df=1)
+    vocab, X = fit_rows(map(Block.document_rows, document_blocks(docs)), min_df=1)
     assert same_csr(X, oracle_tfidf(oracle_vocabulary(docs, min_df=1), docs))
