@@ -42,12 +42,12 @@ from .concepts import (
     load_task_map,
     save_concepts_file,
     transcript_hits,
-    umls_noteworthy,
     validate_task_map_against_lexicon,
 )
 from .errors import ConfigError, DataError, FitError, ParseError, TrainingError, ValidationError
 from .filtering import (
     SCOPES,
+    FilterStrategy,
     filter_to_record,
     load_filter,
     load_indices,
@@ -286,11 +286,12 @@ def cmd_build_lexicon(args) -> None:
 def cmd_tag(args) -> None:
     lexicon, task_map = _load_lexicon(args.lexicon, args.task_map)
     transcripts = load_transcripts(args.transcripts)
-    rows = []
-    for transcript in transcripts:
-        if args.indices_only:
-            rows.append({"id": transcript.id, "indices": umls_noteworthy(lexicon, transcript, task_map)})
-        else:
+    if args.indices_only:
+        selections = select_utterances(FilterStrategy(kind="umls"), transcripts, None, lexicon, task_map)
+        rows = [{"id": t.id, "indices": indices} for t, indices in zip(transcripts, selections)]
+    else:
+        rows = []
+        for transcript in transcripts:
             hits = [
                 {"utterance": index, "cui": hit.cui, "start": hit.start, "end": hit.end}
                 for index, hit in transcript_hits(lexicon, transcript, task_map)

@@ -191,21 +191,16 @@ class Block:
     lengths: np.ndarray
     starts: np.ndarray
 
-    def document_rows(self, selections: Sequence[Sequence[int]] | None = None) -> Rows:
+    def document_rows(self, kept: np.ndarray | None = None) -> Rows:
         """The block with each utterance on the row of its document, if
-        ``selections`` (per document, the indices of the utterances to keep
-        within it) keeps it or is None."""
+        ``kept`` (one flag per utterance of the block) is true for it or is
+        None; any other utterance is left out (row -1)."""
         # ndarray methods, unlike their numpy functions, run no Python frame,
         # which every one-visit call would pay.
         n_docs = len(self.starts) - 1
-        docs = np.arange(n_docs)
-        if selections is None:
-            return self, docs.repeat(self.starts[1:] - self.starts[:-1]), n_docs
-        docs = docs.repeat(np.fromiter(map(len, selections), np.int64, n_docs))
-        kept = np.fromiter(chain.from_iterable(selections), np.int64, len(docs))
-        rows = np.empty(len(self.lengths), dtype=np.int64)
-        rows.fill(-1)
-        rows[self.starts[docs] + kept] = docs
+        rows = np.arange(n_docs).repeat(self.starts[1:] - self.starts[:-1])
+        if kept is not None:
+            rows[~kept] = -1
         return self, rows, n_docs
 
     def utterance_rows(self) -> Rows:

@@ -27,8 +27,8 @@ from __future__ import annotations
 import re
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from itertools import chain, repeat
-from operator import attrgetter, itemgetter
+from itertools import pairwise
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +58,14 @@ from .linear import (
 from .transcripts import Transcript
 
 SCOPES = ("all", "diagnosis", "ros")
-STRATEGY_KINDS = ("none", "umls", "predicted", "union", "fill_to_k")
+# Each kind of strategy, with the optional fields it reads; it leaves the others None.
+STRATEGY_FIELDS = {
+    "none": (),
+    "umls": (),
+    "predicted": ("scope", "threshold"),
+    "union": ("scope", "threshold"),
+    "fill_to_k": ("scope", "k"),
+}
 
 DEFAULT_THRESHOLDS = {"all": 0.4, "diagnosis": 0.1, "ros": 0.02}
 DEFAULT_FILL_K = {"all": 50, "diagnosis": 15, "ros": 20}
@@ -67,6 +74,7 @@ _NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _PRED = re.compile(rf"^pred:(?P<scope>[a-z]+)(?:@(?P<threshold>{_NUMBER}))?$")
 _UNION = re.compile(rf"^union:umls\+pred:(?P<scope>[a-z]+)(?:@(?P<threshold>{_NUMBER}))?$")
 _F2K = re.compile(r"^f2k:umls\+pred:(?P<scope>[a-z]+)(?:@K=(?P<k>\d+))?$")
+_FIELD_TYPES = {"scope": str, "threshold": float, "k": int}
 
 
 @dataclass(frozen=True)
@@ -77,13 +85,18 @@ class FilterStrategy:
     k: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in STRATEGY_KINDS:
+        if self.kind not in STRATEGY_FIELDS:
             raise ConfigError(f"unknown strategy kind {self.kind!r}")
-        if self.kind in ("predicted", "union", "fill_to_k"):
-            if self.scope not in SCOPES:
-                raise ConfigError(
-                    f"strategy {self.kind} needs a scope in {SCOPES}, got {self.scope!r}"
-                )
+        given = {name for name in ("scope", "threshold", "k") if getattr(self, name) is not None}
+        unread = ", ".join(sorted(given.difference(STRATEGY_FIELDS[self.kind])))
+        if unread:
+            raise ConfigError(f"strategy {self.kind} does not read {unread}")
+        if self.needs_model and self.scope not in SCOPES:
+            raise ConfigError(
+                f"strategy {self.kind} needs a scope in {SCOPES}, got {self.scope!r}"
+            )
+        if self.kind == "fill_to_k" and self.k is None:
+            object.__setattr__(self, "k", DEFAULT_FILL_K[self.scope])
         if self.threshold is not None and not 0.0 <= self.threshold <= 1.0:
             raise ConfigError(f"threshold {self.threshold} outside [0, 1]")
         if self.k is not None and self.k < 1:
@@ -102,16 +115,11 @@ def parse_strategy(text: str) -> FilterStrategy:
     text = text.strip()
     if text in ("none", "umls"):
         return FilterStrategy(kind=text)
-    for kind, pattern in (("predicted", _PRED), ("union", _UNION)):
+    for kind, pattern in (("predicted", _PRED), ("union", _UNION), ("fill_to_k", _F2K)):
         match = pattern.match(text)
         if match:
-            threshold = float(match["threshold"]) if match["threshold"] else None
-            return FilterStrategy(kind=kind, scope=match["scope"], threshold=threshold)
-    match = _F2K.match(text)
-    if match:
-        scope = match["scope"]
-        k = int(match["k"]) if match["k"] else DEFAULT_FILL_K.get(scope)
-        return FilterStrategy(kind="fill_to_k", scope=scope, k=k)
+            fields = {n: _FIELD_TYPES[n](v) for n, v in match.groupdict().items() if v}
+            return FilterStrategy(kind, **fields)
     raise ConfigError(f"cannot parse strategy {text!r}")
 
 
@@ -121,7 +129,8 @@ def format_strategy(strategy: FilterStrategy) -> str:
     if strategy.kind == "fill_to_k":
         return f"f2k:umls+pred:{strategy.scope}@K={strategy.k}"
     prefix = "pred:" if strategy.kind == "predicted" else "union:umls+pred:"
-    suffix = f"@{strategy.threshold:g}" if strategy.threshold is not None else ""
+    # repr is the shortest text that reads back as the same float.
+    suffix = f"@{float(strategy.threshold)!r}" if strategy.threshold is not None else ""
     return f"{prefix}{strategy.scope}{suffix}"
 
 
@@ -179,10 +188,10 @@ def train_filter(
     return FilterModel(scope=scope, vocab=vocab, model=model, threshold=threshold)
 
 
-def _block_probabilities(fm: FilterModel, block: Block) -> list[np.ndarray]:
-    """Per transcript of a block, the probability of each of its utterances."""
+def _block_probabilities(fm: FilterModel, block: Block) -> np.ndarray:
+    """The probability of each utterance of a block."""
     X = transform_rows(fm.vocab, [block.utterance_rows()])
-    return np.split(predict_proba_matrix(fm.model, X), block.starts[1:-1])
+    return predict_proba_matrix(fm.model, X)
 
 
 def _probabilities(fm: FilterModel, transcripts: Iterable[Transcript]) -> Iterator[np.ndarray]:
@@ -190,7 +199,7 @@ def _probabilities(fm: FilterModel, transcripts: Iterable[Transcript]) -> Iterat
     return (
         probs
         for block in blocks(map(utterance_table, transcripts))
-        for probs in _block_probabilities(fm, block)
+        for probs in np.split(_block_probabilities(fm, block), block.starts[1:-1])
     )
 
 
@@ -254,19 +263,26 @@ def fill_to_k(umls_indices: Iterable[int], probs: np.ndarray, k: int) -> list[in
     if k < 1:
         raise ConfigError(f"K must be a positive integer, got {k}")
     probs = np.asarray(probs, dtype=float)
-    base = sorted(set(int(i) for i in umls_indices))
+    base = [int(i) for i in umls_indices]
     if any(i < 0 or i >= probs.size for i in base):
         raise ConfigError("concept-hit index outside the transcript")
-    if len(base) >= k:
-        return base
-    chosen = set(base)
-    # A stable sort on -probs breaks ties toward the lower index; a concept
-    # hit met on the way is already chosen and adds nothing.
-    for index in np.argsort(-probs, kind="stable").tolist():
-        if len(chosen) >= k:
-            break
-        chosen.add(index)
-    return sorted(chosen)
+    hit = np.zeros(probs.size, dtype=bool)
+    hit[base] = True
+    return _fill_to_k(hit, probs, np.array([0, probs.size]), k).nonzero()[0].tolist()
+
+
+def _fill_to_k(hit: np.ndarray, probs: np.ndarray, starts: np.ndarray, k: int) -> np.ndarray:
+    """Per utterance of documents that own utterances ``starts[d]:starts[d + 1]``,
+    whether :func:`fill_to_k` keeps it within its document."""
+    # ndarray methods, unlike their numpy functions, run no Python frame.
+    owner = np.arange(len(starts) - 1).repeat(starts[1:] - starts[:-1])
+    index = np.arange(len(hit))
+    # Per document, its hits, then the rest best-first and the lower index on
+    # a tie: sorted position i holds rank i - starts[owner[i]] in its document.
+    order = np.lexsort((index, -probs, ~hit, owner))
+    kept = hit.copy()
+    kept[order[index - starts[owner] < k]] = True
+    return kept
 
 
 def select_utterances(
@@ -279,7 +295,11 @@ def select_utterances(
     """Per transcript, in order, the selected utterance indices, ascending
     and duplicate-free."""
     selected = select_blocks(strategy, transcripts, filter_model, lexicon, task_map)
-    return chain.from_iterable(map(itemgetter(1), selected))
+    return (
+        kept[start:end].nonzero()[0].tolist()
+        for block, kept in selected
+        for start, end in pairwise(block.starts.tolist())
+    )
 
 
 def select_blocks(
@@ -288,10 +308,11 @@ def select_blocks(
     filter_model: FilterModel | None = None,
     lexicon: ConceptLexicon | None = None,
     task_map: TaskMap | None = None,
-) -> Iterator[tuple[Block, list[list[int]]]]:
-    """Each block of whole transcripts (:func:`features.blocks`) with their
-    selections. The filter scores a block with one transform, and each
-    utterance is tokenized once, for the filter, the tagger and the caller."""
+) -> Iterator[tuple[Block, np.ndarray]]:
+    """Each block of whole transcripts (:func:`features.blocks`) with its
+    selection: per utterance, a flag that the strategy keeps it. The filter
+    scores a block with one transform, and each utterance is tokenized once,
+    for the filter, the tagger and the caller."""
     if strategy.needs_lexicon and lexicon is None:
         raise ConfigError(f"strategy {format_strategy(strategy)} needs a concept lexicon")
     if strategy.needs_model:
@@ -314,44 +335,21 @@ def _select_block(
     filter_model: FilterModel | None,
     lexicon: ConceptLexicon | None,
     task_map: TaskMap | None,
-) -> list[list[int]]:
-    starts = block.starts.tolist()
-    bounds = zip(starts, starts[1:])
-    if strategy.kind == "none":
-        return [list(range(end - start)) for start, end in bounds]
-    # Tagged once for the block; each transcript reads its slice.
+) -> np.ndarray:
+    """Per utterance of a block, whether the strategy keeps it."""
     hit = np.zeros(len(block.lengths), dtype=bool)
+    if strategy.kind == "none":
+        return ~hit  # every utterance
     if strategy.needs_lexicon:
         hits = table_hits(lexicon, block.stream, block.lengths, task_map)
         hit[[index for index, _ in hits]] = True
-    probabilities = repeat(None)
-    if strategy.needs_model:
-        probabilities = _block_probabilities(filter_model, block)
-    return [
-        _select(strategy, hit[start:end].nonzero()[0].tolist(), probs, filter_model)
-        for (start, end), probs in zip(bounds, probabilities)
-    ]
-
-
-def _select(
-    strategy: FilterStrategy,
-    hits: list[int],
-    probs: np.ndarray | None,
-    filter_model: FilterModel | None,
-) -> list[int]:
-    """One transcript's selection from the utterances with a concept hit,
-    ascending, and the filter's probabilities."""
-    if strategy.kind == "umls":
-        return hits
+    if not strategy.needs_model:  # umls
+        return hit
+    probs = _block_probabilities(filter_model, block)
     if strategy.kind == "fill_to_k":
-        return fill_to_k(hits, probs, strategy.k)
-    threshold = (
-        strategy.threshold if strategy.threshold is not None else filter_model.threshold
-    )
-    predicted = np.flatnonzero(probs >= threshold).tolist()
-    if strategy.kind == "predicted":
-        return predicted
-    return sorted(set(predicted) | set(hits))  # union
+        return _fill_to_k(hit, probs, block.starts, strategy.k)
+    threshold = filter_model.threshold if strategy.threshold is None else strategy.threshold
+    return (probs >= threshold) | hit  # predicted, where no hit is set, or union
 
 
 def apply_filter(

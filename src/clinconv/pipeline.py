@@ -16,6 +16,7 @@ import json
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import starmap
+from numbers import Integral
 from operator import attrgetter
 from pathlib import Path
 
@@ -176,7 +177,10 @@ def _override_table(override: Mapping[str, Sequence[int]], transcript: Transcrip
     if transcript.id not in override:
         raise ConfigError(f"no provided indices for transcript {transcript.id!r}")
     n = len(transcript.utterances)
-    indices = sorted(set(int(i) for i in override[transcript.id]))
+    provided = override[transcript.id]
+    if not all(isinstance(i, Integral) and not isinstance(i, bool) for i in provided):
+        raise ValidationError(f"provided indices for transcript {transcript.id!r} must be integers")
+    indices = sorted(set(map(int, provided)))
     if indices and (indices[0] < 0 or indices[-1] >= n):
         raise ValidationError(
             f"filtered index outside transcript {transcript.id!r} of {n} utterances"

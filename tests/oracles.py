@@ -250,6 +250,23 @@ def all_positive_micro_f1(prevalence) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Selection
+
+
+def naive_fill_to_k(umls_indices, probs, k: int) -> list[int]:
+    """Fill-to-K on one transcript: the concept hits, then the other
+    utterances best-first (ties toward the lower index) until K are chosen."""
+    chosen = set(int(i) for i in umls_indices)
+    # A stable sort on -probs breaks ties toward the lower index; a concept
+    # hit met on the way is already chosen and adds nothing.
+    for index in np.argsort(-np.asarray(probs, dtype=float), kind="stable").tolist():
+        if len(chosen) >= k:
+            break
+        chosen.add(index)
+    return sorted(chosen)
+
+
+# ---------------------------------------------------------------------------
 # Featurization, one document at a time
 
 _TOKEN = re.compile(r"[0-9a-z]+")

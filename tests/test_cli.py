@@ -246,6 +246,16 @@ def test_tag_indices_only_writes_umls_noteworthy(workspace, concept_inputs, tmp_
     assert rows == expected
 
 
+def test_tag_indices_only_and_filter_umls_write_the_same_bytes(workspace, tmp_path):
+    root, run = workspace
+    common = ["--transcripts", root / "corpus" / "transcripts.jsonl",
+              "--lexicon", LEXICON, "--task-map", TASK_MAP]
+    tagged, filtered = tmp_path / "tagged.jsonl", tmp_path / "filtered.jsonl"
+    assert run("tag", *common, "--indices-only", "--out", tagged) == 0
+    assert run("filter", *common, "--strategy", "umls", "--out", filtered) == 0
+    assert tagged.read_bytes() == filtered.read_bytes()
+
+
 def test_baseline_entity_row_equals_the_library_call(workspace, concept_inputs, tmp_path):
     root, run = workspace
     transcripts, lexicon, task_map = concept_inputs

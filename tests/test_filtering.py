@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,16 +28,22 @@ from clinconv import (
     umls_noteworthy,
     utterance_probabilities,
 )
+from clinconv import filtering
 from clinconv.errors import ValidationError
 from clinconv.filtering import (
     DEFAULT_FILL_K,
     DEFAULT_THRESHOLDS,
+    SCOPES,
     filter_from_record,
     filter_to_record,
     format_strategy,
     load_filter,
+    select_utterances,
 )
+from clinconv.linear import predict_proba_matrix
 from clinconv.metrics import rank_auc
+from clinconv.transcripts import Transcript, Utterance
+from oracles import naive_fill_to_k, oracle_tfidf, oracle_token_hits, oracle_tokenize
 
 CASES = [
     ("none", FilterStrategy(kind="none")),
@@ -65,6 +72,52 @@ def test_format_round_trips(text, expected):
 def test_fill_to_k_defaults_applied_per_scope():
     for scope, k in DEFAULT_FILL_K.items():
         assert parse_strategy(f"f2k:umls+pred:{scope}").k == k
+
+
+def test_fill_to_k_without_k_takes_the_scope_default():
+    for scope, k in DEFAULT_FILL_K.items():
+        strategy = FilterStrategy(kind="fill_to_k", scope=scope)
+        assert strategy.k == k
+        assert format_strategy(strategy) == f"f2k:umls+pred:{scope}@K={k}"
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"kind": "none", "scope": "all"},
+        {"kind": "umls", "scope": "ros", "threshold": 0.3},
+        {"kind": "umls", "k": 3},
+        {"kind": "predicted", "scope": "all", "k": 5},
+        {"kind": "union", "scope": "diagnosis", "k": 5},
+        {"kind": "fill_to_k", "scope": "all", "threshold": 0.3},
+    ],
+)
+def test_strategy_rejects_a_field_its_kind_does_not_read(fields):
+    with pytest.raises(ConfigError, match="does not read"):
+        FilterStrategy(**fields)
+
+
+VALID_STRATEGIES = st.one_of(
+    st.builds(FilterStrategy, kind=st.sampled_from(["none", "umls"])),
+    st.builds(
+        FilterStrategy,
+        kind=st.sampled_from(["predicted", "union"]),
+        scope=st.sampled_from(SCOPES),
+        threshold=st.none() | st.floats(min_value=0.0, max_value=1.0),
+    ),
+    st.builds(
+        FilterStrategy,
+        kind=st.just("fill_to_k"),
+        scope=st.sampled_from(SCOPES),
+        k=st.none() | st.integers(min_value=1, max_value=10**6),
+    ),
+)
+
+
+@given(VALID_STRATEGIES)
+@settings(max_examples=300, deadline=None)
+def test_every_valid_strategy_round_trips(strategy):
+    assert parse_strategy(format_strategy(strategy)) == strategy
 
 
 @pytest.mark.parametrize(
@@ -135,6 +188,7 @@ def test_fill_to_k_invariants(seed, n, k):
     probs = rng.random(n)
     base = sorted(set(rng.integers(0, n, size=rng.integers(0, n + 1)).tolist()))
     selected = fill_to_k(base, probs, k)
+    assert selected == naive_fill_to_k(base, probs, k)
     assert selected == sorted(set(selected))  # ascending, duplicate-free
     assert set(base) <= set(selected)  # concept hits never dropped
     assert len(selected) == max(len(base), min(k, n))
@@ -262,6 +316,56 @@ def test_apply_filter_f2k_matches_direct_call(trained, lexicon):
     assert (
         apply_filter(strategy, transcript, filter_model=fm, lexicon=lexicon) == expected
     )
+
+
+def _rounded(model, X):
+    return np.round(predict_proba_matrix(model, X), 1)
+
+
+@pytest.fixture(scope="module")
+def texts(trained, lexicon):
+    """Twenty distinct utterance texts of the corpus, eight with a concept hit."""
+    corpus, _ = trained
+    distinct = list(dict.fromkeys(u.text for t in corpus.transcripts for u in t.utterances))
+    hit = {i for i, _ in oracle_token_hits(lexicon, map(oracle_tokenize, distinct))}
+    return [distinct[i] for i in sorted(hit)[:8]] + [
+        text for i, text in enumerate(distinct) if i not in hit
+    ][:12]
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_block_flags_match_the_per_transcript_oracle(trained, lexicon, diagnosis_map, texts, data):
+    """Several transcripts, empty ones too, share one block; probabilities
+    rounded to one decimal tie often, the hits of a transcript may reach K,
+    and K may pass a transcript's length."""
+    _, fm = trained
+    docs = data.draw(st.lists(st.lists(st.sampled_from(texts), max_size=10), max_size=6))
+    k = data.draw(st.integers(min_value=1, max_value=12))
+    threshold = data.draw(st.sampled_from([None, 0.1, 0.4, 0.5, 0.9]))
+    task_map = data.draw(st.sampled_from([None, diagnosis_map]))
+    transcripts = [
+        Transcript(f"t{d}", [Utterance("doctor", 1000 * u, text) for u, text in enumerate(doc)])
+        for d, doc in enumerate(docs)
+    ]
+    expected: dict[str, list[list[int]]] = {"fill_to_k": [], "union": [], "predicted": []}
+    for doc in docs:
+        tokens = [oracle_tokenize(text) for text in doc]
+        hits = sorted({index for index, _ in oracle_token_hits(lexicon, tokens, task_map)})
+        probs = _rounded(fm.model, oracle_tfidf(fm.vocab, tokens)) if doc else np.zeros(0)
+        predicted = np.flatnonzero(probs >= (threshold or fm.threshold)).tolist()
+        expected["fill_to_k"].append(naive_fill_to_k(hits, probs, k))
+        expected["union"].append(sorted(set(predicted) | set(hits)))
+        expected["predicted"].append(predicted)
+    strategies = {
+        "fill_to_k": FilterStrategy(kind="fill_to_k", scope="all", k=k),
+        "union": FilterStrategy(kind="union", scope="all", threshold=threshold),
+        "predicted": FilterStrategy(kind="predicted", scope="all", threshold=threshold),
+    }
+    with mock.patch.object(filtering, "predict_proba_matrix", _rounded):
+        for kind, strategy in strategies.items():
+            selected = select_utterances(strategy, transcripts, fm, lexicon, task_map)
+            assert list(selected) == expected[kind], kind
 
 
 def test_apply_filter_umls_respects_task_map(trained, lexicon):

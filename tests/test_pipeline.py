@@ -433,6 +433,19 @@ def test_an_override_index_past_the_end_names_the_transcript(trained_pipeline):
         run_pipeline(pipeline, [first], {first.id: [n]})
 
 
+@pytest.mark.parametrize("bad", [1.7, True, "1", np.bool_(True)], ids=["float", "bool", "str", "numpy-bool"])
+def test_an_override_index_that_is_no_integer_names_the_transcript(trained_pipeline, bad):
+    corpus, _, pipeline = trained_pipeline
+    first = corpus.transcripts[0]
+    message = f"provided indices for transcript {first.id!r} must be integers"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        run_pipeline(pipeline, [first], {first.id: [bad, 2]})
+    assert np.array_equal(
+        run_pipeline(pipeline, [first], {first.id: [np.int64(1), 2]}).scores,
+        run_pipeline(pipeline, [first], {first.id: [1, 2]}).scores,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Chunk-and-pool adapter
 
