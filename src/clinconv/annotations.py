@@ -231,7 +231,7 @@ def save_notes(path: str | Path, notes: Iterable[SoapNote]) -> None:
 
 
 def validate_note_evidence(note: SoapNote, transcript: Transcript) -> None:
-    n_utterances = len(transcript.utterances)
+    n_utterances = len(transcript)
     for index, entry in enumerate(note.entries):
         for evidence in entry.evidence:
             if evidence >= n_utterances:
@@ -446,7 +446,7 @@ def noteworthy_targets(
     if scope not in ("all", "diagnosis", "ros"):
         raise ValidationError(f"unknown noteworthy scope {scope!r}")
     validate_note_evidence(note, transcript)
-    targets = np.zeros(len(transcript.utterances), dtype=np.uint8)
+    targets = np.zeros(len(transcript), dtype=np.uint8)
     if scope == "all":
         relevant = note.entries
     elif scope == "diagnosis":

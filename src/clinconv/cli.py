@@ -169,7 +169,7 @@ def _load_override(indices_path: str | None, transcripts) -> dict[str, list[int]
     """The selections of an ``--indices`` file, each for a transcript given."""
     if not indices_path:
         return None
-    override = load_indices(indices_path, {t.id: len(t.utterances) for t in transcripts})
+    override = load_indices(indices_path, {t.id: len(t) for t in transcripts})
     known = {t.id for t in transcripts}
     unknown = [i for i in override if i not in known]
     if unknown:

@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -282,8 +281,7 @@ def transcript_hits(
     task_map: TaskMap | None = None,
 ) -> list[tuple[int, ConceptHit]]:
     """:func:`table_hits` over a transcript's utterances."""
-    texts = map(attrgetter("text"), transcript.utterances)
-    return table_hits(lexicon, *tokenize_table(texts), task_map)
+    return table_hits(lexicon, *tokenize_table(transcript.texts), task_map)
 
 
 def entity_baseline_predict(

@@ -28,7 +28,6 @@ import re
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import pairwise
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -154,7 +153,7 @@ class FilterModel:
 
 def utterance_table(transcript: Transcript) -> Table:
     """The token table of a transcript's utterances."""
-    return tokenize_table(map(attrgetter("text"), transcript.utterances))
+    return tokenize_table(transcript.texts)
 
 
 def train_filter(

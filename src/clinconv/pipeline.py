@@ -17,7 +17,6 @@ from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import starmap
 from numbers import Integral
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -176,7 +175,7 @@ def _override_table(override: Mapping[str, Sequence[int]], transcript: Transcrip
     """The token table of a transcript's provided selection, checked against its length."""
     if transcript.id not in override:
         raise ConfigError(f"no provided indices for transcript {transcript.id!r}")
-    n = len(transcript.utterances)
+    n = len(transcript)
     provided = override[transcript.id]
     if not all(isinstance(i, Integral) and not isinstance(i, bool) for i in provided):
         raise ValidationError(f"provided indices for transcript {transcript.id!r} must be integers")
@@ -185,8 +184,7 @@ def _override_table(override: Mapping[str, Sequence[int]], transcript: Transcrip
         raise ValidationError(
             f"filtered index outside transcript {transcript.id!r} of {n} utterances"
         )
-    selected = map(transcript.utterances.__getitem__, indices)
-    return tokenize_table(map(attrgetter("text"), selected))
+    return tokenize_table(map(transcript.texts.__getitem__, indices))
 
 
 def train_pipeline(

@@ -49,7 +49,7 @@ from .bundled import bundled_lexicon, bundled_task_map, reference_labels
 from .concepts import ConceptLexicon, TaskMap
 from .errors import GenerationError
 from .jsonio import Fields, as_fields, read_jsonl, write_jsonl
-from .transcripts import Transcript, Utterance
+from .transcripts import Transcript
 
 # Speech building blocks. Tokens here must never appear inside any lexicon
 # synonym, otherwise random filler could form a concept phrase and the
@@ -531,8 +531,8 @@ class _Generator:
         distractor_slots = sorted(int(s) for s in slots[cursor:])
 
         # Render utterances.
-        texts: dict[int, str] = {}
-        speakers: dict[int, str] = {}
+        texts: list[str | None] = [None] * n_utterances
+        speakers: list[str | None] = [None] * n_utterances
         mentioned: set[int] = set()
         for item in plans:
             mention_lines = [
@@ -560,7 +560,7 @@ class _Generator:
             texts[index] = " ".join(words)
             speakers[index] = "patient" if self._chance(0.6) else "physician"
         for index in range(n_utterances):
-            if index in texts:
+            if texts[index] is not None:
                 continue
             if self._chance(BACKCHANNEL_PROB):
                 texts[index] = self._pick(BACKCHANNEL_PHRASES)
@@ -575,13 +575,13 @@ class _Generator:
                     "other" if roll < 0.06 else "patient" if roll < 0.53 else "physician"
                 )
 
-        utterances = []
+        starts = []
         clock = 0
-        for index in range(n_utterances):
+        for text in texts:
             clock += int(self.rng.integers(250, 1200))
-            utterances.append(Utterance(speakers[index], clock, texts[index]))
-            clock += len(texts[index].split()) * int(self.rng.integers(280, 420))
-        transcript = Transcript(id=example_id, utterances=utterances)
+            starts.append(clock)
+            clock += len(text.split()) * int(self.rng.integers(280, 420))
+        transcript = Transcript(example_id, tuple(speakers), tuple(starts), tuple(texts))
 
         entries = [
             NoteEntry(

@@ -1,7 +1,7 @@
 """Conversation transcripts: data model, validation, and JSONL round-trip.
 
-A transcript is an ordered list of timestamped utterances. The JSONL format is
-one object per line::
+A transcript is an id and three columns of its timestamped utterances:
+speakers, start times and texts. The JSONL format is one object per line::
 
     {"id": "visit-001", "utterances": [
         {"speaker": "physician", "start_ms": 0, "text": "what brings you in"},
@@ -15,20 +15,21 @@ non-monotone timestamps are errors.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ParseError, ValidationError
 from .jsonio import FieldWarnings, iter_jsonl, json_loads, write_jsonl
 
 SPEAKERS = ("physician", "patient", "other")
 
-_UTTERANCE_FIELDS = {"speaker", "start_ms", "text"}
+_UTTERANCE_FIELDS = ("speaker", "start_ms", "text")
 _TRANSCRIPT_FIELDS = {"id", "utterances"}
 
 
-@dataclass
-class Utterance:
+class Utterance(NamedTuple):
     speaker: str
     start_ms: int
     text: str
@@ -36,49 +37,53 @@ class Utterance:
 
 @dataclass
 class Transcript:
+    """Utterance ``i`` is ``speakers[i]``, ``start_ms[i]`` and ``texts[i]``."""
+
     id: str
-    utterances: list[Utterance] = field(default_factory=list)
+    speakers: tuple[str, ...] = ()
+    start_ms: tuple[int, ...] = ()
+    texts: tuple[str, ...] = ()
+
+    @property
+    def utterances(self) -> tuple[Utterance, ...]:
+        """The utterances, built from the columns on each read."""
+        return tuple(map(Utterance, self.speakers, self.start_ms, self.texts))
 
     def word_count(self) -> int:
-        return sum(len(u.text.split()) for u in self.utterances)
+        return sum(map(len, map(str.split, self.texts)))
 
     def __len__(self) -> int:
-        return len(self.utterances)
+        return len(self.texts)
 
 
 def validate_transcript(transcript: Transcript) -> None:
     """Raise ValidationError unless the transcript satisfies its invariants."""
     if not transcript.id:
         raise ValidationError("transcript id must be non-empty")
-    previous_ms = None
-    for index, utt in enumerate(transcript.utterances):
-        if utt.speaker not in SPEAKERS:
+    speakers, starts, texts = transcript.speakers, transcript.start_ms, transcript.texts
+    if not len(speakers) == len(starts) == len(texts):
+        raise ValidationError(f"transcript {transcript.id!r}: columns of unequal length")
+    where = f"transcript {transcript.id!r} utterance"
+    previous_ms = 0
+    for index, (speaker, start_ms, text) in enumerate(zip(speakers, starts, texts)):
+        if speaker not in SPEAKERS:
             raise ValidationError(
-                f"transcript {transcript.id!r} utterance {index}: unknown speaker "
-                f"{utt.speaker!r} (expected one of {', '.join(SPEAKERS)})"
+                f"{where} {index}: unknown speaker {speaker!r} "
+                f"(expected one of {', '.join(SPEAKERS)})"
             )
-        if not isinstance(utt.start_ms, int) or isinstance(utt.start_ms, bool):
+        if not isinstance(start_ms, int) or isinstance(start_ms, bool):
+            raise ValidationError(f"{where} {index}: start_ms must be an integer")
+        if start_ms < 0:
+            raise ValidationError(f"{where} {index}: negative start_ms")
+        if start_ms < previous_ms:
             raise ValidationError(
-                f"transcript {transcript.id!r} utterance {index}: start_ms must be an integer"
+                f"{where} {index}: start_ms decreases ({start_ms} after {previous_ms})"
             )
-        if utt.start_ms < 0:
-            raise ValidationError(
-                f"transcript {transcript.id!r} utterance {index}: negative start_ms"
-            )
-        if previous_ms is not None and utt.start_ms < previous_ms:
-            raise ValidationError(
-                f"transcript {transcript.id!r} utterance {index}: start_ms decreases "
-                f"({utt.start_ms} after {previous_ms})"
-            )
-        if not isinstance(utt.text, str):
-            raise ValidationError(
-                f"transcript {transcript.id!r} utterance {index}: text must be a string"
-            )
-        if not utt.text or not utt.text.strip():
-            raise ValidationError(
-                f"transcript {transcript.id!r} utterance {index}: empty text"
-            )
-        previous_ms = utt.start_ms
+        if not isinstance(text, str):
+            raise ValidationError(f"{where} {index}: text must be a string")
+        if not text or not text.strip():
+            raise ValidationError(f"{where} {index}: empty text")
+        previous_ms = start_ms
 
 
 def parse_transcript(
@@ -105,34 +110,32 @@ def parse_transcript(
     if not isinstance(raw_utterances, list):
         raise ParseError("'utterances' must be a list", line_number)
 
-    utterances = []
-    for index, item in enumerate(raw_utterances):
-        if not isinstance(item, dict):
-            raise ParseError(f"utterance {index} must be a JSON object", line_number)
-        for name in ("speaker", "start_ms", "text"):
-            if name not in item:
-                raise ParseError(
-                    f"utterance {index} missing field {name!r}", line_number
-                )
-        if warnings is not None:
+    try:
+        columns = tuple(zip(*map(itemgetter(*_UTTERANCE_FIELDS), raw_utterances))) or ((), (), ())
+    except (KeyError, TypeError):
+        # Name the first utterance that is not an object or lacks a field.
+        for index, item in enumerate(raw_utterances):
+            if not isinstance(item, dict):
+                raise ParseError(f"utterance {index} must be a JSON object", line_number)
+            for name in _UTTERANCE_FIELDS:
+                if name not in item:
+                    raise ParseError(f"utterance {index} missing field {name!r}", line_number)
+        raise
+    if warnings is not None and max(map(len, raw_utterances), default=0) > len(_UTTERANCE_FIELDS):
+        for item in raw_utterances:
             for name in item.keys() - _UTTERANCE_FIELDS:
                 warnings.note("utterance", name)
-        utterances.append(
-            Utterance(speaker=item["speaker"], start_ms=item["start_ms"], text=item["text"])
-        )
 
-    transcript = Transcript(id=record["id"], utterances=utterances)
+    transcript = Transcript(record["id"], *columns)
     validate_transcript(transcript)
     return transcript
 
 
 def transcript_to_record(transcript: Transcript) -> dict:
+    columns = zip(transcript.speakers, transcript.start_ms, transcript.texts)
     return {
         "id": transcript.id,
-        "utterances": [
-            {"speaker": u.speaker, "start_ms": u.start_ms, "text": u.text}
-            for u in transcript.utterances
-        ],
+        "utterances": [{"speaker": s, "start_ms": ms, "text": t} for s, ms, t in columns],
     }
 
 

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from clinconv.concepts import tag_utterance
-from clinconv.errors import FitError, LexiconError, ValidationError
+from clinconv.errors import FitError, LexiconError, ParseError, ValidationError
 from clinconv.features import Vocabulary
 
 
@@ -247,6 +247,69 @@ def all_positive_micro_f1(prevalence) -> float:
     p = list(prevalence)
     total = math.fsum(p)
     return 2.0 * total / (len(p) + total) if p else 0.0
+
+
+# ---------------------------------------------------------------------------
+# Transcripts, one utterance object at a time
+
+ORACLE_SPEAKERS = ("physician", "patient", "other")
+
+
+def naive_parse_transcript(record: dict, warnings=None) -> tuple:
+    """A decoded transcript record as ``(id, speakers, start_ms, texts)``,
+    walked one utterance at a time: each utterance is checked for being an
+    object with its three fields, then the transcript's invariants in order."""
+    if not isinstance(record, dict):
+        raise ParseError("transcript record must be a JSON object")
+    for name in ("id", "utterances"):
+        if name not in record:
+            raise ParseError(f"transcript record missing field {name!r}")
+    if warnings is not None:
+        for name in record.keys() - {"id", "utterances"}:
+            warnings.note("transcript", name)
+    if not isinstance(record["id"], str):
+        raise ParseError("'id' must be a string")
+    if not isinstance(record["utterances"], list):
+        raise ParseError("'utterances' must be a list")
+
+    utterances = []
+    for index, item in enumerate(record["utterances"]):
+        if not isinstance(item, dict):
+            raise ParseError(f"utterance {index} must be a JSON object")
+        for name in ("speaker", "start_ms", "text"):
+            if name not in item:
+                raise ParseError(f"utterance {index} missing field {name!r}")
+        if warnings is not None:
+            for name in item.keys() - {"speaker", "start_ms", "text"}:
+                warnings.note("utterance", name)
+        utterances.append((item["speaker"], item["start_ms"], item["text"]))
+
+    transcript_id = record["id"]
+    if not transcript_id:
+        raise ValidationError("transcript id must be non-empty")
+    previous_ms = None
+    for index, (speaker, start_ms, text) in enumerate(utterances):
+        where = f"transcript {transcript_id!r} utterance {index}"
+        if speaker not in ORACLE_SPEAKERS:
+            raise ValidationError(
+                f"{where}: unknown speaker {speaker!r} "
+                f"(expected one of {', '.join(ORACLE_SPEAKERS)})"
+            )
+        if not isinstance(start_ms, int) or isinstance(start_ms, bool):
+            raise ValidationError(f"{where}: start_ms must be an integer")
+        if start_ms < 0:
+            raise ValidationError(f"{where}: negative start_ms")
+        if previous_ms is not None and start_ms < previous_ms:
+            raise ValidationError(f"{where}: start_ms decreases ({start_ms} after {previous_ms})")
+        if not isinstance(text, str):
+            raise ValidationError(f"{where}: text must be a string")
+        if not text or not text.strip():
+            raise ValidationError(f"{where}: empty text")
+        previous_ms = start_ms
+    speakers = tuple(speaker for speaker, _, _ in utterances)
+    starts = tuple(start_ms for _, start_ms, _ in utterances)
+    texts = tuple(text for _, _, text in utterances)
+    return transcript_id, speakers, starts, texts
 
 
 # ---------------------------------------------------------------------------

@@ -321,8 +321,8 @@ def test_criterion_06_filtering_suite():
         )
         details.append(f"{task} oracle {oracle_f1:.3f} >= unfiltered {plain_f1:.3f}")
 
-        full_train = {t.id: list(range(len(t.utterances))) for t in train_transcripts}
-        full_test = {t.id: list(range(len(t.utterances))) for t in test_transcripts}
+        full_train = {t.id: list(range(len(t))) for t in train_transcripts}
+        full_test = {t.id: list(range(len(t))) for t in test_transcripts}
         override = train_pipeline(
             config, train_transcripts, train_matrix, indices_override=full_train
         )

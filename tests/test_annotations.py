@@ -16,7 +16,6 @@ from clinconv import (
     SoapNote,
     TagPair,
     Transcript,
-    Utterance,
     ValidationError,
     apply_diagnosis_labels,
     apply_ros_labels,
@@ -40,7 +39,10 @@ from clinconv.annotations import (
 
 def _transcript(id_: str, n: int = 6) -> Transcript:
     return Transcript(
-        id_, [Utterance("patient", 100 * i, f"line {i}") for i in range(n)]
+        id_,
+        ("patient",) * n,
+        tuple(range(0, 100 * n, 100)),
+        tuple(f"line {i}" for i in range(n)),
     )
 
 

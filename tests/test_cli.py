@@ -98,7 +98,7 @@ def test_filter_oracle_strategy_matches_note_evidence(workspace):
                "--strategy", "oracle:all", "--notes", root / "corpus" / "notes.jsonl",
                "--out", out) == 0
     transcripts = load_transcripts(root / "corpus" / "transcripts.jsonl")
-    selections = load_indices(out, {t.id: len(t.utterances) for t in transcripts})
+    selections = load_indices(out, {t.id: len(t) for t in transcripts})
     assert len(selections) == 80
     assert any(selections.values())
     manifest = json.loads((root / "oracle.jsonl.manifest.json").read_text())

@@ -11,7 +11,6 @@ from clinconv import (
     Concept,
     LexiconError,
     Transcript,
-    Utterance,
     ValidationError,
     build_lexicon,
     entity_baseline_predict,
@@ -164,9 +163,8 @@ def test_task_map_rejects_unknown_task():
 
 
 def _transcript(lines: list[str]) -> Transcript:
-    return Transcript(
-        "t", [Utterance("patient", 100 * i, text) for i, text in enumerate(lines)]
-    )
+    n = len(lines)
+    return Transcript("t", ("patient",) * n, tuple(range(0, 100 * n, 100)), tuple(lines))
 
 
 def test_transcript_hits_pair_utterance_indices(lex):
@@ -303,7 +301,7 @@ def test_noteworthy_and_entity_baseline_equal_tagging_every_utterance(
     expected = np.zeros((len(small_corpus.transcripts), len(labels)), dtype=np.uint8)
     hit_any = False
     for i, transcript in enumerate(small_corpus.transcripts):
-        utterances = [tokenize(u.text) for u in transcript.utterances]
+        utterances = [tokenize(text) for text in transcript.texts]
         for task_map in (None, diagnosis_map):
             hits = oracle_token_hits(lexicon, utterances, task_map)
             assert umls_noteworthy(lexicon, transcript, task_map) == sorted({k for k, _ in hits})

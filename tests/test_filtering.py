@@ -42,7 +42,7 @@ from clinconv.filtering import (
 )
 from clinconv.linear import predict_proba_matrix
 from clinconv.metrics import rank_auc
-from clinconv.transcripts import Transcript, Utterance
+from clinconv.transcripts import Transcript
 from oracles import naive_fill_to_k, oracle_tfidf, oracle_token_hits, oracle_tokenize
 
 CASES = [
@@ -326,7 +326,7 @@ def _rounded(model, X):
 def texts(trained, lexicon):
     """Twenty distinct utterance texts of the corpus, eight with a concept hit."""
     corpus, _ = trained
-    distinct = list(dict.fromkeys(u.text for t in corpus.transcripts for u in t.utterances))
+    distinct = list(dict.fromkeys(text for t in corpus.transcripts for text in t.texts))
     hit = {i for i, _ in oracle_token_hits(lexicon, map(oracle_tokenize, distinct))}
     return [distinct[i] for i in sorted(hit)[:8]] + [
         text for i, text in enumerate(distinct) if i not in hit
@@ -345,7 +345,9 @@ def test_block_flags_match_the_per_transcript_oracle(trained, lexicon, diagnosis
     threshold = data.draw(st.sampled_from([None, 0.1, 0.4, 0.5, 0.9]))
     task_map = data.draw(st.sampled_from([None, diagnosis_map]))
     transcripts = [
-        Transcript(f"t{d}", [Utterance("doctor", 1000 * u, text) for u, text in enumerate(doc)])
+        Transcript(
+            f"t{d}", ("physician",) * len(doc), tuple(range(0, 1000 * len(doc), 1000)), tuple(doc)
+        )
         for d, doc in enumerate(docs)
     ]
     expected: dict[str, list[list[int]]] = {"fill_to_k": [], "union": [], "predicted": []}

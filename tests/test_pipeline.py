@@ -161,7 +161,7 @@ def test_pipeline_heads_score_bit_for_bit_in_one_product(
         docs = []
         for transcript in heldout:
             kept = apply_filter(strategy, transcript, fm, lexicon, diagnosis_map)
-            docs.append([tokenize(transcript.utterances[i].text) for i in kept])
+            docs.append([tokenize(transcript.texts[i]) for i in kept])
         X = oracle_tfidf(pipeline.vocab, docs)
         for rows in (X, X[:1], X[:0]):
             expected = np.column_stack([predict_proba_matrix(m, rows) for m in pipeline.ovr.models])
@@ -186,13 +186,13 @@ def test_a_batch_tokenizes_each_utterance_once(monkeypatch, strategy_pipelines):
     for module in holders:
         monkeypatch.setattr(module, "tokenize_table", counted)
     run_pipeline(pipelines["f2k:umls+pred:diagnosis"], heldout)
-    assert sorted(calls) == sorted(u.text for t in heldout for u in t.utterances)
+    assert sorted(calls) == sorted(text for t in heldout for text in t.texts)
     # Given a selection, each selected utterance is tokenized once and no other.
     calls.clear()
-    override = {t.id: list(range(1, len(t.utterances), 3)) for t in heldout}
+    override = {t.id: list(range(1, len(t), 3)) for t in heldout}
     run_pipeline(pipelines["none"], heldout, override)
     assert calls and sorted(calls) == sorted(
-        t.utterances[i].text for t in heldout for i in override[t.id]
+        t.texts[i] for t in heldout for i in override[t.id]
     )
 
 
@@ -382,11 +382,11 @@ def test_scores_equal_linear_functions_of_oracle_features(small_corpus):
         pairs, "diagnosis", labels=derivation.space.labels, merge_map=derivation.merge_map
     )
     for transcript in transcripts:
-        docs = [tokenize(u.text) for u in transcript.utterances]
+        docs = [tokenize(text) for text in transcript.texts]
         expected = predict_proba_matrix(fm.model, oracle_tfidf(fm.vocab, docs))
         assert np.array_equal(utterance_probabilities(fm, transcript), expected)
 
-    docs = [[tokenize(u.text) for u in t.utterances] for t in transcripts]
+    docs = [[tokenize(text) for text in t.texts] for t in transcripts]
     pipeline = train_pipeline(PipelineConfig(task="diagnosis", min_df=2), transcripts, derivation.matrix)
     expected = ovr_proba_matrix(pipeline.ovr, oracle_tfidf(pipeline.vocab, docs))
     assert np.array_equal(run_pipeline(pipeline, transcripts).scores, expected)
@@ -416,7 +416,7 @@ def test_indices_override_orders_and_bounds(trained_pipeline):
         run_pipeline(pipeline, sample, scrambled).scores,
         run_pipeline(pipeline, sample, plain).scores,
     )
-    docs = [[tokenize(t.utterances[i].text) for i in (0, 2)] for t in sample]
+    docs = [[tokenize(t.texts[i]) for i in (0, 2)] for t in sample]
     expected = ovr_proba_matrix(pipeline.ovr, oracle_tfidf(pipeline.vocab, docs))
     assert np.array_equal(run_pipeline(pipeline, sample, plain).scores, expected)
     for bad in (len(first), -1):
@@ -427,7 +427,7 @@ def test_indices_override_orders_and_bounds(trained_pipeline):
 def test_an_override_index_past_the_end_names_the_transcript(trained_pipeline):
     corpus, _, pipeline = trained_pipeline
     first = corpus.transcripts[0]
-    n = len(first.utterances)
+    n = len(first)
     message = f"outside transcript {first.id!r} of {n} utterances"
     with pytest.raises(ValidationError, match=re.escape(message)):
         run_pipeline(pipeline, [first], {first.id: [n]})
